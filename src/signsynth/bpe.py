@@ -3,9 +3,10 @@
 Words are split into characters with an end-of-word marker suffixed onto the
 final character; training repeatedly merges the most frequent adjacent
 symbol pair (ties break to the lexicographically smaller pair) until the
-vocabulary budget is spent or no pair occurs twice.  Special tokens are
-atomic: they take the lowest ids, are never split, and never participate in
-merges.
+vocabulary budget is spent or no pair occurs twice.  Pair counts are kept
+up to date incrementally (Sennrich et al. 2016): a merge re-counts only the
+word types that contain the merged pair.  Special tokens are atomic: they
+take the lowest ids, are never split, and never participate in merges.
 
 The base alphabet contains both the plain and the end-marked variant of
 every character seen in training, so any string over the training alphabet
@@ -14,10 +15,13 @@ survives an encode/decode round trip exactly.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+from .io import atomic_open
 
 END_OF_WORD = "</w>"
 UNK = "<unk>"
@@ -31,6 +35,10 @@ class BpeModel:
     merges: tuple[tuple[str, str], ...]
     vocab: Mapping[str, int]
     specials: tuple[str, ...]
+    # Derived once per model: merge ranks, and word -> ids for every word
+    # encoded so far (seeded with the specials, which encode atomically).
+    _ranks: dict = field(init=False, compare=False, repr=False)
+    _word_ids: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "merges", tuple((a, b) for a, b in self.merges))
@@ -46,6 +54,8 @@ class BpeModel:
         for i, special in enumerate(self.specials):
             if self.vocab.get(special) != i:
                 raise ValueError(f"special {special!r} must have reserved id {i}")
+        object.__setattr__(self, "_ranks", {pair: i for i, pair in enumerate(self.merges)})
+        object.__setattr__(self, "_word_ids", {s: (i,) for i, s in enumerate(self.specials)})
 
     @property
     def unk_id(self) -> int:
@@ -94,20 +104,53 @@ def bpe_train(
             f"({len(specials)} specials + {len(alphabet)} alphabet symbols)"
         )
 
-    words = {_word_symbols(w): c for w, c in word_counts.items()}
+    words = [_word_symbols(w) for w in word_counts]
+    counts = list(word_counts.values())
+    pair_counts: Counter = Counter()
+    where: dict[tuple[str, str], set[int]] = {}
+    for wid, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += counts[wid]
+            where.setdefault(pair, set()).add(wid)
+    # Lazy max-heap: an entry is live only while its count equals the
+    # pair's current count; (-count, pair) breaks ties to the smaller pair.
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     while len(merges) < vocab_size - n_reserved:
-        pair_counts: Counter = Counter()
-        for symbols, count in words.items():
-            for i in range(len(symbols) - 1):
-                pair_counts[(symbols[i], symbols[i + 1])] += count
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        pair, best_count = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best_count < 2:
+        neg_count, pair = heapq.heappop(heap)
+        if -neg_count < 2:
             break
         merges.append(pair)
-        words = {_merge_word(symbols, pair): count for symbols, count in words.items()}
+        # Recount whole words so overlapping runs (a a a) stay exact.
+        delta: Counter = Counter()
+        for wid in where.pop(pair):
+            old = words[wid]
+            new = words[wid] = _merge_word(old, pair)
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for p in old_pairs:
+                delta[p] -= counts[wid]
+            for p in new_pairs:
+                delta[p] += counts[wid]
+            for p in set(old_pairs).difference(new_pairs, [pair]):
+                where[p].discard(wid)
+            for p in set(new_pairs).difference(old_pairs):
+                where.setdefault(p, set()).add(wid)
+        for p, d in delta.items():
+            if not d:
+                continue
+            c = pair_counts[p] + d
+            if c:
+                pair_counts[p] = c
+                heapq.heappush(heap, (-c, p))
+            else:
+                del pair_counts[p]
 
     vocab: dict[str, int] = {}
     for token in (*specials, *alphabet, *(a + b for a, b in merges)):
@@ -151,20 +194,15 @@ def _encode_word(word: str, ranks: Mapping[tuple[str, str], int]) -> tuple[str, 
 def encode(model: BpeModel, text: str) -> list[int]:
     """Tokenize text to ids; specials match atomically, unknown symbols map
     to the unknown id."""
-    ranks = {pair: i for i, pair in enumerate(model.merges)}
-    special_set = set(model.specials)
+    cache = model._word_ids
     ids: list[int] = []
-    cache: dict[str, tuple[str, ...]] = {}
     for word in text.split():
-        if word in special_set:
-            ids.append(model.vocab[word])
-            continue
-        symbols = cache.get(word)
-        if symbols is None:
-            symbols = _encode_word(word, ranks)
-            cache[word] = symbols
-        unk = model.unk_id
-        ids.extend(model.vocab.get(sym, unk) for sym in symbols)
+        word_ids = cache.get(word)
+        if word_ids is None:
+            unk = model.unk_id
+            symbols = _encode_word(word, model._ranks)
+            word_ids = cache[word] = tuple(model.vocab.get(sym, unk) for sym in symbols)
+        ids.extend(word_ids)
     return ids
 
 
@@ -201,7 +239,7 @@ def save_model(path, model: BpeModel) -> None:
         "vocab": dict(model.vocab),
         "specials": list(model.specials),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, ensure_ascii=False)
         fh.write("\n")
 

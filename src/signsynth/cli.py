@@ -225,7 +225,7 @@ def _cmd_tokenize(args, config) -> int:
         raise UsageError("tokenize encode requires --out")
     model = bpe.load_model(args.model)
     records = io.read_manifest(args.input)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with io.atomic_open(args.out) as fh:
         for record in records:
             ids = bpe.encode(model, " ".join(record.text))
             fh.write(json.dumps({"id": record.id, "ids": ids}) + "\n")

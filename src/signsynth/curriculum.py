@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from .io import atomic_open
 from .pose import PoseSequence
 from .seeds import derive_seed
 
@@ -91,7 +92,7 @@ def write_schedule_csv(
     path, total_steps: int, sched: AnnealSchedule, seed: int, real_size: int, synth_size: int
 ) -> None:
     """Export the mixture schedule as 'step,real_fraction,source' rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "real_fraction", "source"])
         for d in emit_schedule(total_steps, sched, seed, real_size, synth_size):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,17 +37,30 @@ class DataError(Exception):
     """Malformed or inconsistent data in a file; maps to CLI exit code 2."""
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextmanager
+def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
+    """Stream a file into place: writes go to a temp file in the target
+    directory, which replaces ``path`` only if the block exits cleanly and is
+    removed otherwise.  ``mode`` is ``"w"`` (UTF-8 text) or ``"wb"``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # Exclusive create under a random name, as mkstemp does, but with mode
+    # 0o666 so the umask sets the permissions, as for a plain open().
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        encoding = None if "b" in mode else "utf-8"
+        with os.fdopen(fd, mode, encoding=encoding, newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 # --- pose files ---------------------------------------------------------------

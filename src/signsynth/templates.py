@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .io import atomic_open
 from .pose import SentenceRecord
 from .seeds import derive_seed
 
@@ -274,7 +275,7 @@ def load_templates(path) -> list[Template]:
 
 
 def save_templates(path, templates: Sequence[Template]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for t in templates:
             fh.write(f"{t.id}\t{t.phenomenon}\t{t.render()}\n")
 
@@ -300,7 +301,7 @@ def load_slot_lexicon(path) -> SlotLexicon:
 
 
 def save_slot_lexicon(path, lex: SlotLexicon) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for category in sorted(lex.entries):
             for entry in lex.entries[category]:
                 fh.write(

@@ -211,3 +211,59 @@ def most_frequent_pair(words_with_counts):
         return None
     pair, count = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return pair, count
+
+
+def _merge_symbols(symbols, pair):
+    merged = pair[0] + pair[1]
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == pair[0] and symbols[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
+def bpe_train_reference(corpus, vocab_size, specials, end_of_word="</w>", unk="<unk>"):
+    """Recount-everything BPE trainer: every merge recounts every adjacent
+    pair of every word type.  Returns (merges, vocab) with the same budget,
+    tie-break, stop rules and id assignment as the real trainer."""
+    specials = tuple(specials)
+    if unk not in specials:
+        specials = specials + (unk,)
+    special_set = set(specials)
+
+    word_counts: Counter = Counter()
+    charset: set = set()
+    for sentence in corpus:
+        for token in sentence:
+            if not token or token in special_set:
+                continue
+            word_counts[token] += 1
+            charset.update(token)
+
+    alphabet = sorted(c for ch in charset for c in (ch, ch + end_of_word))
+    n_reserved = len(specials) + len(alphabet)
+    words = {tuple(w[:-1]) + (w[-1] + end_of_word,): c for w, c in word_counts.items()}
+    merges = []
+    while len(merges) < vocab_size - n_reserved:
+        pair_counts: Counter = Counter()
+        for symbols, count in words.items():
+            for i in range(len(symbols) - 1):
+                pair_counts[(symbols[i], symbols[i + 1])] += count
+        if not pair_counts:
+            break
+        pair, best_count = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if best_count < 2:
+            break
+        merges.append(pair)
+        words = {_merge_symbols(symbols, pair): count for symbols, count in words.items()}
+
+    vocab = {}
+    for token in (*specials, *alphabet, *(a + b for a, b in merges)):
+        if token not in vocab:
+            vocab[token] = len(vocab)
+    return tuple(merges), vocab

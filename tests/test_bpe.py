@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signsynth.bpe import (
@@ -107,6 +109,52 @@ class TestTrain:
             assert b not in model.specials
 
 
+# Small alphabets make count ties frequent; repeated letters give overlapping
+# pairs such as "a a a"; "<", "/", "w" and ">" let merged symbols spell the
+# end-of-word marker; specials sit among ordinary words.
+_WORD = st.text(alphabet="aab<w/>", min_size=1, max_size=7)
+_TOKEN = st.one_of(_WORD, _WORD, _WORD, st.sampled_from(["<PERSON>", "<unk>", "<pad>"]))
+_CORPUS = st.lists(st.lists(_TOKEN, min_size=1, max_size=6), min_size=1, max_size=12)
+
+
+class TestIncrementalTrainer:
+    @given(_CORPUS, st.integers(min_value=0, max_value=60))
+    @example([["aaaa", "aaa", "aaaaa", "a"], ["aaaa", "aa"]] * 2, 4)
+    @example([["a</w>", "a</w>", "<w>", "w/>"]] * 3, 12)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recount_oracle(self, corpus, extra):
+        specials = ("<pad>", "<PERSON>")
+        charset = {c for s in corpus for tok in s if tok not in (*specials, "<unk>") for c in tok}
+        if not charset:
+            return
+        # specials + <unk> + alphabet: zero merges at extra=0, and budgets up
+        # to 60 merges run past the point where no pair occurs twice.
+        vocab_size = len(specials) + 1 + 2 * len(charset) + extra
+        model = bpe_train(corpus, vocab_size, specials)
+        merges, vocab = oracles.bpe_train_reference(corpus, vocab_size, specials)
+        assert model.merges == merges
+        assert model.vocab == vocab
+
+    def test_paper_vocab_size_trains_in_seconds(self):
+        # About 12k Zipf-weighted word types at the paper's vocab_size; the
+        # recount-everything trainer needs about 15 minutes for this.
+        rng = random.Random(2016)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        types = sorted({
+            "".join(rng.choice(letters) for _ in range(rng.randint(2, 10)))
+            for _ in range(12_500)
+        })
+        rng.shuffle(types)
+        cum_weights = list(itertools.accumulate(1.0 / rank for rank in range(1, len(types) + 1)))
+        corpus = [rng.choices(types, cum_weights=cum_weights, k=12) for _ in range(12_000)]
+        corpus.append(types)
+        t0 = time.perf_counter()
+        model = bpe_train(corpus, vocab_size=15_000)
+        elapsed = time.perf_counter() - t0
+        assert len(model.merges) > 10_000
+        assert elapsed < 60.0
+
+
 class TestEncodeDecode:
     def test_empty(self):
         model = train_toy([["abc"]])
@@ -157,6 +205,57 @@ class TestEncodeDecode:
         model = train_toy([["cat", "dog", "sun"], ["moon", "tree", "cat"]])
         text = " ".join(words)
         assert decode(model, encode(model, text)) == text
+
+
+class TestEncodeCache:
+    def test_repeated_encode_is_stable(self):
+        model = train_toy([["the", "cat", "the", "hat"]])
+        text = "the cat hat the <PERSON> tac"
+        first = encode(model, text)
+        for _ in range(3):
+            assert encode(model, text) == first
+
+    def test_models_do_not_share_cached_words(self):
+        corpus = [["abab", "abab", "baba"]]
+        coarse = train_toy(corpus, extra_merges=0)
+        fine = train_toy(corpus, extra_merges=5)
+        assert coarse.merges != fine.merges
+        coarse_ids = encode(coarse, "abab baba")
+        fine_ids = encode(fine, "abab baba")
+        assert len(fine_ids) < len(coarse_ids)
+        assert encode(coarse, "abab baba") == coarse_ids
+        # A model loaded fresh encodes the same as the warm one.
+        assert encode(BpeModel(fine.merges, fine.vocab, fine.specials), "abab baba") == fine_ids
+
+    def test_specials_atomic_after_cache_warm(self):
+        model = train_toy([["hello", "<PERSON>"]])
+        encode(model, "hello hello")
+        ids = encode(model, "hello <PERSON> hello")
+        assert ids.count(model.vocab["<PERSON>"]) == 1
+        assert decode(model, ids) == "hello <PERSON> hello"
+
+    def test_unknown_chars_after_cache_warm(self):
+        model = train_toy([["abc"]])
+        encode(model, "abc")
+        assert encode(model, "q q") == [model.unk_id, model.unk_id]
+        assert model.unk_id in encode(model, "abqc")
+
+    @given(st.lists(st.text(alphabet="abcd", min_size=1, max_size=6), min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_with_warm_cache(self, words):
+        text = " ".join(words)
+        assert decode(_CACHED_MODEL, encode(_CACHED_MODEL, text)) == text
+        assert decode(_CACHED_MODEL, encode(_CACHED_MODEL, text)) == text
+
+    def test_cache_not_part_of_equality(self):
+        model = train_toy([["cache", "me"]])
+        fresh = BpeModel(model.merges, model.vocab, model.specials)
+        encode(model, "cache me")
+        assert model == fresh
+        assert "_word_ids" not in repr(model)
+
+
+_CACHED_MODEL = train_toy([["abcd", "dcba", "abab"], ["cdcd", "abcd"]])
 
 
 class TestModelFile:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signsynth import bpe, cli, curriculum, templates
 from signsynth.io import (
     DataError,
+    atomic_open,
     compute_stats,
     load_sign_lexicon,
     read_manifest,
@@ -217,3 +220,90 @@ class TestStats:
         assert stats["length_histogram"]["bins"] == {"1": 1, "2": 1, "3": 1}
         assert stats["frame_histogram"]["bins"] == {"10": 1, "20": 1}
         assert stats["frame_histogram"]["mean"] == pytest.approx(15.0)
+
+
+def _write_model(path):
+    bpe.save_model(path, bpe.bpe_train([["ab", "ab", "ba"]], vocab_size=20))
+
+
+def _write_encoded(path):
+    manifest = path.parent / "in.jsonl"
+    model = path.parent / "model.json"
+    write_manifest(manifest, [SentenceRecord(id="a", text=("ab", "ba"))])
+    _write_model(model)
+    code = cli.cli(["tokenize", "encode", "--in", str(manifest), "--model", str(model),
+                    "--out", str(path)])
+    if code != 0:
+        raise OSError(f"tokenize encode exited {code}")
+
+
+def _write_schedule(path):
+    curriculum.write_schedule_csv(path, 50, curriculum.AnnealSchedule(), 3, 10, 20)
+
+
+def _write_templates(path):
+    templates.save_templates(path, [templates.parse_template("Subj[] V[]", template_id="t1")])
+
+
+def _write_slot_lexicon(path):
+    entry = templates.LexiconEntry(word="cat", features=(("num", "SG"),), pose_source="cat")
+    templates.save_slot_lexicon(path, templates.SlotLexicon(entries={"Subj": (entry,)}))
+
+
+def _write_manifest(path):
+    write_manifest(path, [SentenceRecord(id="a", text=("x",))])
+
+
+_WRITERS = [
+    _write_model, _write_encoded, _write_schedule, _write_templates,
+    _write_slot_lexicon, _write_manifest,
+]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", _WRITERS, ids=lambda w: w.__name__)
+    def test_failed_replace_keeps_previous_file(self, writer, tmp_path, monkeypatch):
+        out = tmp_path / "out" / "artifact"
+        out.parent.mkdir()
+        writer(out)
+        assert out.stat().st_size > 0
+        previous = b"previous contents\n"
+        out.write_bytes(previous)
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.fspath(dst) == os.fspath(out):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            writer(out)
+        assert out.read_bytes() == previous
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_error_mid_stream_leaves_target_untouched(self, tmp_path):
+        out = tmp_path / "big.txt"
+        out.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(out) as fh:
+                fh.write("partial\n" * 1000)
+                raise RuntimeError("producer failed")
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_streams_text_and_binary(self, tmp_path):
+        with atomic_open(tmp_path / "t.csv", newline="") as fh:
+            fh.write("a,b\r\n")
+        with atomic_open(tmp_path / "b.bin", "wb") as fh:
+            fh.write(b"\x00\xff")
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+
+    def test_permissions_match_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        with atomic_open(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
