@@ -3,7 +3,7 @@
 Subcommands: gen, filter, merge, postprocess, ingest, stitch, sample,
 tokenize, eval, stats.  Exit codes: 0 success, 1 usage error, 2 data error.
 With a fixed --seed, every subcommand produces byte-identical artifacts
-across runs and across --jobs values.
+across runs; --jobs is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -139,22 +138,16 @@ def _cmd_ingest(args, config) -> int:
     if not paths:
         raise io.DataError(f"{raw_dir}: no .jsonl raw landmark files")
 
-    def work(path: Path):
+    filled = unresolved = 0
+    for path in paths:
         frames = io.read_raw_landmark_file(path)
         patched, report = keypoints.interpolate_low_confidence(frames, threshold)
         seq = keypoints.flatten_video(patched, selection, source_id=path.stem)
         io.write_pose_file(out_dir / f"{path.stem}{io.POSE_FILE_SUFFIX}", seq)
-        return path.stem, len(seq), report
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, paths))
-    else:
-        results = [work(p) for p in paths]
-    filled = sum(r.keypoints_filled for _, _, r in results)
-    unresolved = sum(r.unresolved for _, _, r in results)
+        filled += report.keypoints_filled
+        unresolved += report.unresolved
     print(
-        f"ingest: {len(results)} words -> {out_dir} "
+        f"ingest: {len(paths)} words -> {out_dir} "
         f"(filled {filled} keypoints, {unresolved} unresolved)"
     )
     return 0
@@ -162,9 +155,10 @@ def _cmd_ingest(args, config) -> int:
 
 def _cmd_stitch(args, config) -> int:
     records = io.read_manifest(args.manifest)
+    for record in records:  # ids become file names; check all before writing any
+        io.check_file_stem(record.id)
     lex = io.load_sign_lexicon(args.lexicon_dir)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     jitter = tuple(int(x) for x in args.jitter.split(",")) if args.jitter else (1,)
     cfg = stitch.StitchConfig(
         word_order=args.word_order,
@@ -176,20 +170,24 @@ def _cmd_stitch(args, config) -> int:
     if target_mean is None:
         raise UsageError("--target-mean is required (or target_mean_frames in --config)")
 
-    def write_pose(record, sequence) -> str:
-        path = out_dir / f"{record.id}{io.POSE_FILE_SUFFIX}"
-        io.write_pose_file(path, sequence)
-        return str(path)
+    with io.staged_dir(out_dir) as stage:
 
-    result = stitch.stitch_dataset(
-        records,
-        lex,
-        cfg,
-        target_mean_frames=target_mean,
-        write_pose=write_pose,
-        skip_oov=args.skip_oov,
-        jobs=args.jobs,
-    )
+        def write_pose(record, sequence) -> str:
+            # Fresh names in a private stage: a plain exclusive create is
+            # enough, since staged_dir publishes the files as a set.
+            name = f"{record.id}{io.POSE_FILE_SUFFIX}"
+            with open(stage / name, "xb") as fh:
+                fh.write(io.encode_pose(sequence))
+            return str(out_dir / name)
+
+        result = stitch.stitch_dataset(
+            records,
+            lex,
+            cfg,
+            target_mean_frames=target_mean,
+            write_pose=write_pose,
+            skip_oov=args.skip_oov,
+        )
     io.write_manifest(args.out_manifest, result.records)
     print(
         f"stitch: {len(result.records)} sentences (skipped {result.skipped}), "
@@ -285,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signsynth", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; every stage runs in one thread")
     parser.add_argument("--skip-oov", action="store_true",
                         help="drop out-of-lexicon tokens instead of failing")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

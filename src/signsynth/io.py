@@ -1,9 +1,10 @@
 """File formats: binary pose files, raw landmark JSONL, dataset manifests.
 
 Pose payloads are binary (stitched datasets scale to millions of sequences);
-manifests and stats stay as human-auditable JSON.  Every writer is atomic
-(temp file in the target directory, then rename), and every read/write pair
-round-trips exactly.
+manifests and stats stay as human-auditable JSON.  Every file writer is
+atomic (temp file in the target directory, then rename); a directory of
+stitched pose files is built in a staging directory and published as a set
+(``staged_dir``).  Every read/write pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -31,6 +33,7 @@ from .stitch import SignLexicon
 
 POSE_FILE_VERSION = "psp-v1"
 POSE_FILE_SUFFIX = ".psp"
+MAX_FILE_STEM_BYTES = 200
 
 
 class DataError(Exception):
@@ -63,10 +66,50 @@ def _atomic_write(path: Path, data: bytes) -> None:
         fh.write(data)
 
 
+@contextmanager
+def staged_dir(out_dir) -> Iterator[Path]:
+    """Yield an empty sibling temp dir whose files are published to
+    ``out_dir`` only if the block exits cleanly.
+
+    The stage is renamed onto ``out_dir`` when that is absent or an empty
+    directory; otherwise (a non-empty directory, or a symlink to one) each
+    staged file is moved in with ``os.replace``, overwriting files of the same
+    name and keeping the rest.  If the block raises, the stage is removed and
+    ``out_dir`` is not touched.
+    """
+    out_dir = Path(out_dir)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = out_dir.parent / f".{out_dir.name}.{secrets.token_hex(8)}.tmp"
+    stage.mkdir()  # mode 0o777 under the umask, as a plain mkdir
+    try:
+        yield stage
+        if out_dir.is_dir() and (out_dir.is_symlink() or any(out_dir.iterdir())):
+            for path in stage.iterdir():
+                os.replace(path, out_dir / path.name)
+            stage.rmdir()
+        else:
+            os.replace(stage, out_dir)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+
+
+def check_file_stem(name: str) -> None:
+    """Reject a record id that cannot name a file inside one directory: empty,
+    ``.`` or ``..``, containing ``/``, ``\\`` or NUL, or longer than
+    MAX_FILE_STEM_BYTES in UTF-8."""
+    if (
+        name in ("", ".", "..")
+        or any(c in name for c in "/\\\0")
+        or len(name.encode("utf-8", "surrogatepass")) > MAX_FILE_STEM_BYTES
+    ):
+        raise DataError(f"record id {name!r} cannot be used as a file name")
+
+
 # --- pose files ---------------------------------------------------------------
 
 
-def write_pose_file(path, seq: PoseSequence) -> None:
+def encode_pose(seq: PoseSequence) -> bytes:
     """Header line (JSON) followed by n_frames x 152 little-endian float32."""
     header = {
         "version": POSE_FILE_VERSION,
@@ -75,7 +118,11 @@ def write_pose_file(path, seq: PoseSequence) -> None:
         "source_id": seq.source_id,
     }
     payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
-    _atomic_write(Path(path), json.dumps(header).encode("utf-8") + b"\n" + payload)
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+def write_pose_file(path, seq: PoseSequence) -> None:
+    _atomic_write(Path(path), encode_pose(seq))
 
 
 def read_pose_file(path) -> PoseSequence:

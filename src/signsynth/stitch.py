@@ -8,21 +8,21 @@ ratio of the mean synthetic sentence frame count to the target dataset's
 mean, optionally jittered per sentence by a small multiplier.
 
 Per-sentence randomness (permutation, jitter) is seeded from
-(config seed, sentence id), so outputs are identical regardless of how the
-work is scheduled across workers.
+(config seed, sentence id), so any sentence can be replayed in isolation.
+Datasets are stitched one sentence at a time and handed to the writer as
+soon as they are made, so memory does not grow with the number of sentences.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import LengthHistogram
-from .pose import PoseSequence, SentenceRecord
+from .pose import FRAME_DIM, PoseSequence, SentenceRecord
 from .seeds import derive_seed
 
 
@@ -31,9 +31,13 @@ class SignLexicon:
     """word (case-folded) -> processed word-level pose clip."""
 
     clips: Mapping[str, PoseSequence] = field(default_factory=dict)
+    # (word, stride) -> resampled frames, filled on first use; at most three
+    # strides occur per clip in one stitch run.
+    _resampled: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clips", {w.lower(): seq for w, seq in self.clips.items()})
+        object.__setattr__(self, "_resampled", {})
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.clips
@@ -46,6 +50,14 @@ class SignLexicon:
             return self.clips[word.lower()]
         except KeyError:
             raise KeyError(f"word not in sign lexicon: {word!r}") from None
+
+    def resampled(self, word: str, stride: int) -> np.ndarray:
+        """Frames of ``resample(self.clip(word), stride)``, computed once."""
+        key = (word.lower(), stride)
+        frames = self._resampled.get(key)
+        if frames is None:
+            frames = self._resampled[key] = resample(self.clip(word), stride).frames
+        return frames
 
     def words(self) -> set[str]:
         return set(self.clips)
@@ -106,14 +118,16 @@ def resample(seq: PoseSequence, stride: int) -> PoseSequence:
 
 
 def _crossfade(last: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """n interpolated frames strictly between two boundary frames.
+    """n interpolated frames strictly between boundary frames ``last`` and
+    ``first``, broadcast over leading axes: (..., D) endpoints give
+    (..., n, D) frames.
 
     Frame j sits at fraction j/(n+1); values are clipped onto the segment so
     every coordinate is an exact convex combination of its endpoints.
     """
     fractions = (np.arange(1, n + 1, dtype=np.float64) / (n + 1))[:, None]
-    a = last.astype(np.float64)[None, :]
-    b = first.astype(np.float64)[None, :]
+    a = last.astype(np.float64)[..., None, :]
+    b = first.astype(np.float64)[..., None, :]
     frames = (1.0 - fractions) * a + fractions * b
     frames = np.clip(frames, np.minimum(a, b), np.maximum(a, b))
     return frames.astype(np.float32)
@@ -148,20 +162,28 @@ def stitch_sentence(
     if cfg.word_order == "rwo":
         rng.shuffle(order)  # Fisher-Yates
 
-    clips = [resample(lex.clip(word), stride) for word in order]
-    pieces: list[np.ndarray] = []
+    clips = [lex.resampled(word, stride) for word in order]
+    n_fade = cfg.crossfade_frames if len(clips) > 1 else 0
+    if n_fade:
+        fades = _crossfade(
+            np.stack([clip[-1] for clip in clips[:-1]]),
+            np.stack([clip[0] for clip in clips[1:]]),
+            n_fade,
+        )
+    frames = np.empty(
+        (sum(map(len, clips)) + n_fade * (len(clips) - 1), FRAME_DIM), dtype=np.float32
+    )
     boundaries: list[tuple[str, int, int]] = []
     cursor = 0
     for i, (word, clip) in enumerate(zip(order, clips)):
-        if i > 0 and cfg.crossfade_frames > 0:
-            fade = _crossfade(pieces[-1][-1], clip.frames[0], cfg.crossfade_frames)
-            pieces.append(fade)
-            cursor += cfg.crossfade_frames
-        pieces.append(clip.frames)
+        if i > 0 and n_fade:
+            frames[cursor : cursor + n_fade] = fades[i - 1]
+            cursor += n_fade
+        frames[cursor : cursor + len(clip)] = clip
         boundaries.append((word, cursor, cursor + len(clip)))
         cursor += len(clip)
 
-    sequence = PoseSequence(frames=np.concatenate(pieces, axis=0), source_id=sentence_id)
+    sequence = PoseSequence(frames=frames, source_id=sentence_id)
     return StitchResult(
         sequence=sequence, boundaries=tuple(boundaries), applied_stride=stride
     )
@@ -189,9 +211,11 @@ def stitch_dataset(
     The base stride is computed once from the pre-stitch mean sentence frame
     count (sum of resolvable word-clip lengths) against target_mean_frames,
     overriding cfg.base_stride.  Records with no stitchable words are skipped
-    and counted.  ``write_pose`` persists each stitched sequence and returns
-    its path; output records then carry pose_path and n_frames.  Results are
-    identical for any ``jobs`` value.
+    and counted.  Records are stitched in input order and each sequence is
+    passed to ``write_pose`` as soon as it is made, then dropped; only the
+    output records are kept.  ``write_pose`` persists a sequence and returns
+    its path; output records then carry pose_path and n_frames.  ``jobs`` is
+    accepted for compatibility and has no effect.
     """
     pre_lengths = []
     stitchable: list[SentenceRecord] = []
@@ -211,24 +235,14 @@ def stitch_dataset(
     base_stride = compute_sampling_rate(pre_mean, target_mean_frames)
     run_cfg = replace(cfg, base_stride=base_stride)
 
-    def work(record: SentenceRecord) -> tuple[SentenceRecord, PoseSequence]:
-        result = stitch_sentence(
-            record.text, lex, run_cfg, sentence_id=record.id, skip_oov=skip_oov
-        )
-        return record, result.sequence
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            stitched = list(pool.map(work, stitchable))
-    else:
-        stitched = [work(r) for r in stitchable]
-
     out_records = []
-    for record, sequence in stitched:  # write in input order for determinism
+    for record in stitchable:  # input order, one sequence alive at a time
+        sequence = stitch_sentence(
+            record.text, lex, run_cfg, sentence_id=record.id, skip_oov=skip_oov
+        ).sequence
         record = replace(record, word_order=run_cfg.word_order)
         if write_pose is not None:
-            path = write_pose(record, sequence)
-            record = record.with_pose(path, len(sequence))
+            record = record.with_pose(write_pose(record, sequence), len(sequence))
         else:
             record = replace(record, pose_path=None, n_frames=len(sequence))
         out_records.append(record)

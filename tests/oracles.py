@@ -8,9 +8,13 @@ can cross-check the real code against an unrelated computation path.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import Counter
 from itertools import product
+
+import numpy as np
 
 
 # --- keypoint interpolation -------------------------------------------------
@@ -267,3 +271,61 @@ def bpe_train_reference(corpus, vocab_size, specials, end_of_word="</w>", unk="<
         if token not in vocab:
             vocab[token] = len(vocab)
     return tuple(merges), vocab
+
+
+# --- stitching --------------------------------------------------------------
+
+
+def derive_seed_reference(*parts):
+    """64-bit seed: the first 8 bytes (little-endian) of SHA-256 over the
+    parts joined by the unit separator."""
+    key = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
+
+
+def crossfade_reference(last, first, n):
+    """n frames between two boundary frames, frame j at fraction j/(n+1),
+    computed in float64, clipped onto the segment, stored as float32."""
+    fractions = (np.arange(1, n + 1, dtype=np.float64) / (n + 1))[:, None]
+    a = last.astype(np.float64)[None, :]
+    b = first.astype(np.float64)[None, :]
+    frames = (1.0 - fractions) * a + fractions * b
+    frames = np.clip(frames, np.minimum(a, b), np.maximum(a, b))
+    return frames.astype(np.float32)
+
+
+def stitch_sentence_reference(
+    words, clips, word_order, base_stride, jitter_strides, crossfade_frames, seed,
+    sentence_id, skip_oov=False,
+):
+    """Per-boundary stitcher: resample each clip, then append clip and
+    crossfade pieces one at a time and concatenate them.
+
+    ``clips`` maps lower-case words to (T, D) float32 arrays.  Returns
+    (frames, boundaries, applied_stride) with boundaries as
+    (word, start, end) triples, end exclusive.
+    """
+    resolved = []
+    for word in words:
+        if word.lower() in clips:
+            resolved.append(word)
+        elif not skip_oov:
+            raise KeyError(word)
+    rng = random.Random(derive_seed_reference(seed, sentence_id))
+    stride = base_stride * rng.choice(sorted(set(jitter_strides)))
+    order = list(resolved)
+    if word_order == "rwo":
+        rng.shuffle(order)
+
+    pieces = []
+    boundaries = []
+    cursor = 0
+    for i, word in enumerate(order):
+        clip = clips[word.lower()][::stride]
+        if i > 0 and crossfade_frames > 0:
+            pieces.append(crossfade_reference(pieces[-1][-1], clip[0], crossfade_frames))
+            cursor += crossfade_frames
+        pieces.append(clip)
+        boundaries.append((word, cursor, cursor + len(clip)))
+        cursor += len(clip)
+    return np.concatenate(pieces, axis=0), tuple(boundaries), stride

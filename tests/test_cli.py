@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from signsynth import io
 from signsynth.cli import cli, load_config
 from signsynth.io import (
     read_manifest,
+    read_pose_file,
     write_manifest,
     write_pose_file,
     write_raw_landmark_file,
@@ -197,6 +199,73 @@ class TestIngestAndStitch:
                 row["pose_path"] = Path(row["pose_path"]).name
             artifacts[jobs] = (blobs, rows)
         assert artifacts["1"] == artifacts["8"]
+
+
+class TestStitchOutputDir:
+    def stitch(self, tmp_path, records, *extra):
+        lex_dir = build_lexicon_dir(tmp_path)
+        manifest = tmp_path / "sentences.jsonl"
+        write_manifest(manifest, records)
+        return cli([
+            *extra, "stitch", "--manifest", str(manifest), "--lexicon-dir", str(lex_dir),
+            "--out-dir", str(tmp_path / "out"), "--out-manifest", str(tmp_path / "out.jsonl"),
+            "--target-mean", "40",
+        ])
+
+    def assert_nothing_written(self, tmp_path):
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out.jsonl").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_overlong_id_writes_nothing(self, tmp_path):
+        records = [
+            SentenceRecord(id="ok1", text=("boy", "can", "see")),
+            SentenceRecord(id="x" * 300, text=("girl", "can", "see")),
+        ]
+        assert self.stitch(tmp_path, records) == 2
+        self.assert_nothing_written(tmp_path)
+
+    def test_parent_relative_id_writes_nothing(self, tmp_path, capsys):
+        records = [SentenceRecord(id="../escaped", text=("boy", "can", "see"))]
+        assert self.stitch(tmp_path, records) == 2
+        assert "../escaped" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.psp").exists()
+        self.assert_nothing_written(tmp_path)
+
+    def test_failure_part_way_writes_nothing(self, tmp_path, monkeypatch):
+        real_encode = io.encode_pose
+        calls = []
+
+        records = [SentenceRecord(id=f"s{i}", text=("boy", "can", "see")) for i in range(6)]
+
+        def failing_encode(seq):
+            if seq.source_id in {r.id for r in records}:  # not a lexicon clip
+                calls.append(seq.source_id)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+            return real_encode(seq)
+
+        monkeypatch.setattr(io, "encode_pose", failing_encode)
+        assert self.stitch(tmp_path, records) == 2
+        assert len(calls) == 3
+        self.assert_nothing_written(tmp_path)
+
+    def test_existing_dir_keeps_unrelated_files(self, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("keep me\n")
+        (out_dir / "s0.psp").write_bytes(b"stale")
+        records = [SentenceRecord(id=f"s{i}", text=("boy", "can", "see")) for i in range(3)]
+        assert self.stitch(tmp_path, records, "--seed", "4") == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "notes.txt", "s0.psp", "s1.psp", "s2.psp",
+        ]
+        assert (out_dir / "notes.txt").read_text() == "keep me\n"
+        rows = read_manifest(tmp_path / "out.jsonl")
+        for row in rows:
+            assert Path(row.pose_path) == out_dir / f"{row.id}.psp"
+            assert read_pose_file(row.pose_path).frames.shape[0] == row.n_frames
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSampleTokenizeEval:

@@ -12,12 +12,14 @@ from signsynth import bpe, cli, curriculum, templates
 from signsynth.io import (
     DataError,
     atomic_open,
+    check_file_stem,
     compute_stats,
     load_sign_lexicon,
     read_manifest,
     read_pose_file,
     read_raw_landmark_file,
     read_text_corpus,
+    staged_dir,
     write_manifest,
     write_pose_file,
     write_raw_landmark_file,
@@ -307,3 +309,71 @@ class TestAtomicWrites:
         with atomic_open(tmp_path / "atomic.txt") as fh:
             fh.write("x")
         assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
+
+
+class TestStagedDir:
+    def test_publishes_new_dir_on_success(self, tmp_path):
+        out = tmp_path / "deep" / "out"
+        with staged_dir(out) as stage:
+            assert stage.parent == out.parent and not any(stage.iterdir())
+            (stage / "a.psp").write_bytes(b"a")
+            assert not out.exists()
+        assert [p.name for p in out.iterdir()] == ["a.psp"]
+        assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+
+    def test_replaces_empty_dir_with_plain_permissions(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        with staged_dir(out) as stage:
+            (stage / "a.psp").write_bytes(b"a")
+        assert [p.name for p in out.iterdir()] == ["a.psp"]
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_moves_into_non_empty_dir(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("k")
+        (out / "a.psp").write_bytes(b"old")
+        with staged_dir(out) as stage:
+            (stage / "a.psp").write_bytes(b"new")
+            (stage / "b.psp").write_bytes(b"b")
+        assert sorted(p.name for p in out.iterdir()) == ["a.psp", "b.psp", "keep.txt"]
+        assert (out / "a.psp").read_bytes() == b"new"
+        assert (out / "keep.txt").read_text() == "k"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_symlinked_empty_dir_stays_a_symlink(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        out = tmp_path / "out"
+        out.symlink_to(target)
+        with staged_dir(out) as stage:
+            (stage / "a.psp").write_bytes(b"a")
+        assert out.is_symlink()
+        assert [p.name for p in target.iterdir()] == ["a.psp"]
+
+    def test_error_removes_stage_and_leaves_out_dir(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("k")
+        with pytest.raises(RuntimeError):
+            with staged_dir(out) as stage:
+                (stage / "a.psp").write_bytes(b"a")
+                raise RuntimeError("stitch failed")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+class TestCheckFileStem:
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", "x" * 201, "\u00e9" * 100 + "a"]
+    )
+    def test_rejects(self, name):
+        with pytest.raises(DataError, match="cannot be used as a file name"):
+            check_file_stem(name)
+
+    @pytest.mark.parametrize("name", ["s0", "t01-s000001", "...", ".hidden", "x" * 200, "\u00e9" * 100])
+    def test_accepts(self, name):
+        check_file_stem(name)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signsynth import stitch
 from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
 from signsynth.stitch import (
     SignLexicon,
@@ -14,6 +18,8 @@ from signsynth.stitch import (
     stitch_dataset,
     stitch_sentence,
 )
+
+from . import oracles
 
 
 def clip(n_frames: int, seed: int, word: str = "w") -> PoseSequence:
@@ -189,6 +195,46 @@ class TestStitchSentence:
         assert sorted(w for w, _, _ in result.boundaries) == sorted(words)
 
 
+class TestStitchSentenceOracle:
+    @given(
+        words=st.lists(
+            st.sampled_from(["a", "A", "b", "cc", "Cc", "d", "zz"]), min_size=1, max_size=6
+        ),
+        lengths=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+        crossfade=st.integers(0, 3),
+        order=st.sampled_from(["swo", "rwo"]),
+        jitter=st.sets(st.sampled_from([1, 2, 3]), min_size=1),
+        base_stride=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        sentence_id=st.text(max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_boundary_reference(
+        self, words, lengths, crossfade, order, jitter, base_stride, seed, sentence_id
+    ):
+        # "zz" is out of vocabulary and dropped, as with --skip-oov.
+        if all(w == "zz" for w in words):
+            words = words + ["a"]
+        rng = np.random.default_rng(seed)
+        clips = {
+            w: (rng.standard_normal((n, FRAME_DIM)) * 10).astype(np.float32)
+            for w, n in zip(["a", "b", "cc", "d"], lengths)
+        }
+        lex = SignLexicon(clips={w: PoseSequence(frames=f, source_id=w) for w, f in clips.items()})
+        cfg = StitchConfig(
+            word_order=order, base_stride=base_stride, jitter_strides=tuple(jitter),
+            crossfade_frames=crossfade, seed=seed,
+        )
+        result = stitch_sentence(words, lex, cfg, sentence_id=sentence_id, skip_oov=True)
+        frames, boundaries, stride = oracles.stitch_sentence_reference(
+            words, clips, order, base_stride, jitter, crossfade, seed, sentence_id,
+            skip_oov=True,
+        )
+        assert result.sequence.frames.tobytes() == frames.tobytes()
+        assert result.boundaries == boundaries
+        assert result.applied_stride == stride
+
+
 class TestStitchDataset:
     def make_records(self, texts):
         return [SentenceRecord(id=f"r{i}", text=tuple(t)) for i, t in enumerate(texts)]
@@ -236,6 +282,39 @@ class TestStitchDataset:
             )
             seq_by_jobs[jobs] = (result.records, captured)
         assert seq_by_jobs[1] == seq_by_jobs[8]
+
+    def test_streams_one_sequence_at_a_time(self):
+        lex = make_lexicon({"a": 6, "b": 9})
+        records = self.make_records([["a", "b"], ["b"], ["b", "a", "a"]] * 4)
+        alive = []
+
+        def write_pose(record, sequence):
+            gc.collect()
+            assert all(ref() is None for ref in alive[:-1])
+            alive.append(weakref.ref(sequence))
+            return f"{record.id}.psp"
+
+        result = stitch_dataset(
+            records, lex, StitchConfig(word_order="rwo", seed=2), target_mean_frames=12.0,
+            write_pose=write_pose,
+        )
+        assert len(alive) == len(result.records) == 12
+
+    def test_resamples_each_clip_once_per_stride(self, monkeypatch):
+        lex = make_lexicon({w: 7 + i for i, w in enumerate("abcd")})
+        records = self.make_records([list("abcd"), list("dcb"), ["A", "a"]] * 10)
+        calls = []
+        real_resample = stitch.resample
+
+        def counting_resample(seq, stride):
+            calls.append((seq.source_id, stride))
+            return real_resample(seq, stride)
+
+        monkeypatch.setattr(stitch, "resample", counting_resample)
+        cfg = StitchConfig(word_order="rwo", jitter_strides=(1, 2, 3), seed=4)
+        stitch_dataset(records, lex, cfg, target_mean_frames=20.0)
+        assert len(calls) == len(set(calls))
+        assert {stride for _, stride in calls} == {1, 2, 3}
 
     def test_no_stitchable_records_errors(self):
         lex = make_lexicon({"a": 5})
