@@ -140,9 +140,9 @@ def _cmd_ingest(args, config) -> int:
 
     filled = unresolved = 0
     for path in paths:
-        frames = io.read_raw_landmark_file(path)
-        patched, report = keypoints.interpolate_low_confidence(frames, threshold)
-        seq = keypoints.flatten_video(patched, selection, source_id=path.stem)
+        seq, report = keypoints.process_word_video(
+            io.read_raw_landmark_file(path), selection, threshold, source_id=path.stem
+        )
         io.write_pose_file(out_dir / f"{path.stem}{io.POSE_FILE_SUFFIX}", seq)
         filled += report.keypoints_filled
         unresolved += report.unresolved
@@ -231,22 +231,15 @@ def _cmd_tokenize(args, config) -> int:
     return 0
 
 
+def _eval_pair(obj: dict) -> tuple[list[str], list[str]]:
+    candidate, reference = obj["candidate"], obj["reference"]
+    if not isinstance(candidate, str) or not isinstance(reference, str):
+        raise ValueError("candidate and reference must be strings")
+    return metrics.tokenize_for_metrics(candidate), metrics.tokenize_for_metrics(reference)
+
+
 def _cmd_eval(args, config) -> int:
-    pairs = []
-    with open(args.input, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pair = (
-                    metrics.tokenize_for_metrics(obj["candidate"]),
-                    metrics.tokenize_for_metrics(obj["reference"]),
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise io.DataError(f"{args.input}:{lineno}: {exc}") from None
-            pairs.append(pair)
+    pairs = [pair for _, pair in io.read_jsonl(args.input, _eval_pair)]
     report = metrics.eval_pairs(pairs, smooth=args.smooth)
     for n in sorted(report.bleu):
         print(f"BLEU-{n}: {report.bleu[n]:.2f}")

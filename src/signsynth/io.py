@@ -15,25 +15,26 @@ import secrets
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .corpus import LengthHistogram
 from .pose import (
-    BODY_LANDMARKS,
-    FACE_LANDMARKS,
     FRAME_DIM,
-    HAND_LANDMARKS,
+    LANDMARK_GROUPS,
     PoseSequence,
     RawLandmarkFrame,
     SentenceRecord,
+    landmark_group,
 )
 from .stitch import SignLexicon
 
 POSE_FILE_VERSION = "psp-v1"
 POSE_FILE_SUFFIX = ".psp"
 MAX_FILE_STEM_BYTES = 200
+
+T = TypeVar("T")
 
 
 class DataError(Exception):
@@ -92,6 +93,32 @@ def staged_dir(out_dir) -> Iterator[Path]:
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         raise
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield ``(lineno, parse(obj))`` for each non-blank line's JSON object.
+    Invalid JSON, a non-object line, or a KeyError, TypeError or ValueError
+    from ``parse`` raises DataError citing ``path:lineno``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DataError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            try:
+                value = parse(obj)
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, value
 
 
 def check_file_stem(name: str) -> None:
@@ -168,58 +195,27 @@ def load_sign_lexicon(directory) -> SignLexicon:
 # --- raw landmark files ---------------------------------------------------------
 
 
-_GROUP_SIZES = {
-    "body": BODY_LANDMARKS,
-    "face": FACE_LANDMARKS,
-    "left_hand": HAND_LANDMARKS,
-    "right_hand": HAND_LANDMARKS,
-}
+def _raw_frame(obj: dict) -> np.ndarray:
+    return np.concatenate(
+        [landmark_group(obj[name], size, name) for name, size in LANDMARK_GROUPS.items()]
+    )
 
 
-def read_raw_landmark_file(path) -> list[RawLandmarkFrame]:
-    """JSON lines, one frame per line with body/face/left_hand/right_hand arrays."""
-    path = Path(path)
-    frames = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            groups = {}
-            for name, size in _GROUP_SIZES.items():
-                value = obj.get(name)
-                if not isinstance(value, list) or len(value) != size:
-                    raise DataError(
-                        f"{path}:{lineno}: {name} must be a list of {size} [x, y, c] points"
-                    )
-                groups[name] = value
-            try:
-                frames.append(RawLandmarkFrame(**groups))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+def read_raw_landmark_file(path) -> np.ndarray:
+    """JSON lines, one frame per line with body/face/left_hand/right_hand
+    lists of [x, y, confidence] points.  Returns the clip as one (T, 543, 3)
+    float32 array in canonical group order."""
+    frames = [frame for _, frame in read_jsonl(path, _raw_frame)]
     if not frames:
         raise DataError(f"{path}: no frames")
-    return frames
+    return np.stack(frames)
 
 
 def write_raw_landmark_file(path, frames: Sequence[RawLandmarkFrame]) -> None:
-    lines = []
-    for frame in frames:
-        lines.append(
-            json.dumps(
-                {
-                    "body": frame.body.tolist(),
-                    "face": frame.face.tolist(),
-                    "left_hand": frame.left_hand.tolist(),
-                    "right_hand": frame.right_hand.tolist(),
-                }
-            )
-        )
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+    with atomic_open(path) as fh:
+        for frame in frames:
+            fh.write(json.dumps({name: getattr(frame, name).tolist() for name in LANDMARK_GROUPS}))
+            fh.write("\n")
 
 
 # --- manifests -----------------------------------------------------------------
@@ -241,13 +237,26 @@ def record_to_json(record: SentenceRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> SentenceRecord:
+    record_id, text = obj["id"], obj["text"]
+    pose_path, n_frames = obj.get("pose_path"), obj.get("n_frames")
+    phenomenon = obj.get("phenomenon", "custom")
+    if not isinstance(record_id, str):
+        raise ValueError(f"id must be a string, got {record_id!r}")
+    if not isinstance(text, list) or not all(isinstance(tok, str) for tok in text):
+        raise ValueError(f"record {record_id!r}: text must be a list of strings")
+    if not isinstance(phenomenon, str):
+        raise ValueError(f"record {record_id!r}: phenomenon must be a string")
+    if pose_path is not None and not isinstance(pose_path, str):
+        raise ValueError(f"record {record_id!r}: pose_path must be a string")
+    if n_frames is not None and (isinstance(n_frames, bool) or not isinstance(n_frames, int)):
+        raise ValueError(f"record {record_id!r}: n_frames must be an integer")
     return SentenceRecord(
-        id=obj["id"],
-        text=tuple(obj["text"]),
-        phenomenon=obj.get("phenomenon", "custom"),
+        id=record_id,
+        text=tuple(text),
+        phenomenon=phenomenon,
         word_order=obj.get("word_order", "swo"),
-        pose_path=obj.get("pose_path"),
-        n_frames=obj.get("n_frames"),
+        pose_path=pose_path,
+        n_frames=n_frames,
     )
 
 
@@ -263,23 +272,13 @@ def write_manifest(path, records: Iterable[SentenceRecord]) -> None:
 
 
 def read_manifest(path) -> list[SentenceRecord]:
-    path = Path(path)
     records = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = record_from_json(obj)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if record.id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+    for lineno, record in read_jsonl(path, record_from_json):
+        if record.id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate record id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     return records
 
 

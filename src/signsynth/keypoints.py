@@ -2,8 +2,10 @@
 
 Three stages: fill low-confidence landmarks from the nearest confident frame,
 select the 76 retained keypoints, and flatten to the canonical 152-vector.
-All functions are pure; mapping them across videos in parallel is
-observationally identical to sequential processing.
+The core takes one (T, 543, 3) array per clip: ``fill_low_confidence``, then
+``flatten_video`` (one gather); ``process_word_video`` chains the two.  The
+frame-list form (``interpolate_low_confidence``, ``select_and_flatten``) runs
+the same code.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -25,30 +27,30 @@ class InterpolationReport:
     unresolved: int = 0
 
 
-def interpolate_low_confidence(
-    frames: Sequence[RawLandmarkFrame], threshold: float
-) -> tuple[list[RawLandmarkFrame], InterpolationReport]:
+def fill_low_confidence(
+    stacked: np.ndarray, threshold: float
+) -> tuple[np.ndarray, InterpolationReport]:
     """Replace sub-threshold landmarks with the nearest confident frame's.
 
-    For each landmark position with confidence below ``threshold`` at frame
-    t, its (x, y) is copied from the same landmark at the nearest frame with
+    ``stacked`` is a (T, 543, 3) array of (x, y, confidence).  For each
+    landmark position with confidence below ``threshold`` at frame t, its
+    (x, y) is copied from the same landmark at the nearest frame with
     confidence >= threshold; equidistant left/right donors resolve to the
     earlier frame.  Positions with no donor anywhere keep their original
     values and are counted as unresolved.  Confidences are never rewritten,
-    so the operation is idempotent.
+    so the operation is idempotent.  The input is not modified.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    if len(frames) == 0:
+    if len(stacked) == 0:
         raise ValueError("empty input")
 
-    stacked = np.stack([f.stacked() for f in frames])  # (T, 543, 3)
     n_frames = stacked.shape[0]
     conf_ok = stacked[:, :, 2] >= threshold  # (T, 543)
     needs_fill = ~conf_ok
 
     if not needs_fill.any():
-        return list(frames), InterpolationReport()
+        return stacked, InterpolationReport()
 
     t_index = np.arange(n_frames)[:, None]
     # Most recent confident frame at or before t (-1 when none) and the next
@@ -76,36 +78,34 @@ def interpolate_low_confidence(
         keypoints_filled=int(fill_at.sum()),
         unresolved=int((needs_fill & ~has_donor).sum()),
     )
-    out = [RawLandmarkFrame.from_stacked(filled[t]) for t in range(n_frames)]
-    return out, report
+    return filled, report
+
+
+def interpolate_low_confidence(
+    frames: Sequence[RawLandmarkFrame], threshold: float
+) -> tuple[list[RawLandmarkFrame], InterpolationReport]:
+    """``fill_low_confidence`` over a list of frames."""
+    filled, report = fill_low_confidence(np.array([f.stacked() for f in frames]), threshold)
+    return [RawLandmarkFrame.from_stacked(frame) for frame in filled], report
 
 
 def select_and_flatten(frame: RawLandmarkFrame, sel: KeypointSelection) -> PoseFrame:
     """Pick the selected keypoints and flatten to the canonical 152-vector."""
-    parts = (
-        frame.body[list(sel.body_indices), 0:2],
-        frame.face[list(sel.face_indices), 0:2],
-        frame.left_hand[:, 0:2],
-        frame.right_hand[:, 0:2],
-    )
-    return PoseFrame(np.concatenate(parts, axis=0).reshape(FRAME_DIM))
+    return PoseFrame(frame.stacked()[sel.global_indices(), 0:2].reshape(FRAME_DIM))
+
+
+def flatten_video(stacked: np.ndarray, sel: KeypointSelection, source_id: str = "") -> PoseSequence:
+    """Select and flatten every frame of a (T, 543, 3) clip in one gather."""
+    rows = stacked[:, sel.global_indices(), 0:2].reshape(len(stacked), FRAME_DIM)
+    return PoseSequence(frames=rows, source_id=source_id)
 
 
 def process_word_video(
-    frames: Sequence[RawLandmarkFrame],
+    stacked: np.ndarray,
     sel: KeypointSelection,
     threshold: float,
     source_id: str = "",
-) -> PoseSequence:
-    """Interpolate then select+flatten every frame; frame count is preserved."""
-    patched, _ = interpolate_low_confidence(frames, threshold)
-    return flatten_video(patched, sel, source_id=source_id)
-
-
-def flatten_video(
-    frames: Sequence[RawLandmarkFrame], sel: KeypointSelection, source_id: str = ""
-) -> PoseSequence:
-    if len(frames) == 0:
-        raise ValueError("empty input")
-    rows = np.stack([select_and_flatten(f, sel).values for f in frames])
-    return PoseSequence(frames=rows, source_id=source_id)
+) -> tuple[PoseSequence, InterpolationReport]:
+    """Fill then select+flatten a (T, 543, 3) clip; frame count is preserved."""
+    filled, report = fill_low_confidence(stacked, threshold)
+    return flatten_video(filled, sel, source_id=source_id), report

@@ -29,8 +29,15 @@ SELECTED_FACE = 23
 SELECTED_KEYPOINTS = SELECTED_BODY + SELECTED_FACE + 2 * HAND_LANDMARKS  # 76
 FRAME_DIM = 2 * SELECTED_KEYPOINTS  # 152
 
-# Global landmark index ranges in the canonical body -> face -> left -> right
-# ordering used whenever frames are stacked into a single (543, 3) array.
+# Landmark group sizes and global index offsets, in the canonical body ->
+# face -> left -> right ordering used whenever frames are stacked into a
+# single (543, 3) array.
+LANDMARK_GROUPS = {
+    "body": BODY_LANDMARKS,
+    "face": FACE_LANDMARKS,
+    "left_hand": HAND_LANDMARKS,
+    "right_hand": HAND_LANDMARKS,
+}
 GROUP_OFFSETS = {
     "body": 0,
     "face": BODY_LANDMARKS,
@@ -62,6 +69,24 @@ def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
+def landmark_group(values, size: int, name: str) -> np.ndarray:
+    """``size`` points of 3 finite numbers (x, y, confidence), confidences in
+    [0, 1], as a read-only (size, 3) float32 array; else ValueError."""
+    try:
+        arr = np.array(values)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.shape != (size, 3) or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected {size} points of 3 numbers [x, y, c]")
+    arr = arr.astype(np.float32)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: contains non-finite values")
+    if arr[:, 2].min() < 0.0 or arr[:, 2].max() > 1.0:
+        raise ValueError(f"{name}: confidence outside [0, 1]")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class RawLandmarkFrame:
     """One video frame of raw extractor landmarks.
@@ -76,31 +101,20 @@ class RawLandmarkFrame:
     right_hand: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "body", _frozen_array(self.body, (BODY_LANDMARKS, 3), "body"))
-        object.__setattr__(self, "face", _frozen_array(self.face, (FACE_LANDMARKS, 3), "face"))
-        object.__setattr__(
-            self, "left_hand", _frozen_array(self.left_hand, (HAND_LANDMARKS, 3), "left_hand")
-        )
-        object.__setattr__(
-            self, "right_hand", _frozen_array(self.right_hand, (HAND_LANDMARKS, 3), "right_hand")
-        )
-        for name in ("body", "face", "left_hand", "right_hand"):
-            conf = getattr(self, name)[:, 2]
-            if conf.min() < 0.0 or conf.max() > 1.0:
-                raise ValueError(f"{name}: confidence outside [0, 1]")
+        for name, size in LANDMARK_GROUPS.items():
+            object.__setattr__(self, name, landmark_group(getattr(self, name), size, name))
 
     def stacked(self) -> np.ndarray:
         """All 543 landmarks as one (543, 3) array in canonical group order."""
-        return np.concatenate([self.body, self.face, self.left_hand, self.right_hand], axis=0)
+        return np.concatenate([getattr(self, name) for name in LANDMARK_GROUPS], axis=0)
 
     @classmethod
     def from_stacked(cls, stacked: np.ndarray) -> "RawLandmarkFrame":
-        b = GROUP_OFFSETS
         return cls(
-            body=stacked[b["body"] : b["face"]],
-            face=stacked[b["face"] : b["left_hand"]],
-            left_hand=stacked[b["left_hand"] : b["right_hand"]],
-            right_hand=stacked[b["right_hand"] :],
+            **{
+                name: stacked[GROUP_OFFSETS[name] : GROUP_OFFSETS[name] + size]
+                for name, size in LANDMARK_GROUPS.items()
+            }
         )
 
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .io import atomic_open
+from .io import atomic_open, read_jsonl
 from .pose import SentenceRecord
 from .seeds import derive_seed
 
@@ -280,23 +280,21 @@ def save_templates(path, templates: Sequence[Template]) -> None:
             fh.write(f"{t.id}\t{t.phenomenon}\t{t.render()}\n")
 
 
+def _lexicon_line(obj: dict) -> tuple[str, LexiconEntry]:
+    category, word = obj["category"], obj["word"]
+    features, pose_source = obj.get("features", {}), obj.get("pose_source", word)
+    if not all(isinstance(v, str) for v in (category, word, pose_source)):
+        raise ValueError("category, word and pose_source must be strings")
+    if not isinstance(features, dict):
+        raise ValueError("features must be an object")
+    features = tuple(sorted((k, str(v)) for k, v in features.items()))
+    return category, LexiconEntry(word=word, features=features, pose_source=pose_source)
+
+
 def load_slot_lexicon(path) -> SlotLexicon:
     entries: dict[str, list[LexiconEntry]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            entry = LexiconEntry(
-                word=obj["word"],
-                features=tuple(sorted((k, str(v)) for k, v in obj.get("features", {}).items())),
-                pose_source=obj.get("pose_source", obj["word"]),
-            )
-            entries.setdefault(obj["category"], []).append(entry)
+    for _, (category, entry) in read_jsonl(path, _lexicon_line):
+        entries.setdefault(category, []).append(entry)
     return SlotLexicon(entries={cat: tuple(items) for cat, items in entries.items()})
 
 

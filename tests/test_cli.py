@@ -16,7 +16,7 @@ from signsynth.io import (
     write_pose_file,
     write_raw_landmark_file,
 )
-from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
+from signsynth.pose import FRAME_DIM, PoseFrame, PoseSequence, RawLandmarkFrame, SentenceRecord
 from signsynth.templates import PHENOMENA
 
 from .conftest import random_raw_frame
@@ -168,6 +168,20 @@ class TestIngestAndStitch:
         records = read_manifest(out_manifest)
         assert records[0].n_frames == 12 + 12 + 2  # crossfade default 2
         assert Path(records[0].pose_path).exists()
+
+    def test_ingest_builds_no_frame_objects(self, tmp_path, rng, monkeypatch):
+        # Ingest carries each clip as one (T, 543, 3) array from parse to .psp.
+        raw_dir = tmp_path / "raw"
+        raw_dir.mkdir()
+        write_raw_landmark_file(raw_dir / "w.jsonl", [random_raw_frame(rng) for _ in range(5)])
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the ingest path")
+
+        monkeypatch.setattr(RawLandmarkFrame, "__post_init__", refuse)
+        monkeypatch.setattr(PoseFrame, "__post_init__", refuse)
+        assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "lex")]) == 0
+        assert len(read_pose_file(tmp_path / "lex" / "w.psp")) == 5
 
     def test_jobs_byte_identical(self, tmp_path):
         lex_dir = build_lexicon_dir(tmp_path)
@@ -359,3 +373,68 @@ class TestStatsAndErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("min_freq = 5  # like the hyperparameter table\n")
         assert load_config(cfg) == {"min_freq": "5"}
+
+
+class TestMalformedJsonLines:
+    """Every JSON-lines input goes through one reader, so a bad line is a
+    data error (exit 2) that cites ``path:line``, never a traceback."""
+
+    def argv(self, command, path: Path, tmp_path: Path) -> list[str]:
+        return {
+            "stats": ["stats", "--manifest", str(path), "--out", str(tmp_path / "s.json")],
+            "eval": ["eval", "--in", str(path)],
+            "ingest": ["ingest", "--raw-dir", str(path.parent), "--out-dir", str(tmp_path / "lex")],
+            "gen": ["gen", "--templates", data_path("toy_templates.tsv"), "--lexicon", str(path),
+                    "--out", str(tmp_path / "m.jsonl")],
+        }[command]
+
+    def run(self, tmp_path, capsys, command, lines) -> str:
+        path = tmp_path / "in" / "word.jsonl"
+        path.parent.mkdir()
+        path.write_text("".join(line + "\n" for line in lines))
+        assert cli(self.argv(command, path, tmp_path)) == 2
+        return capsys.readouterr().err.replace(str(path), "PATH")
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "ingest", "gen"])
+    def test_non_object_line_exits_2(self, tmp_path, capsys, command):
+        err = self.run(tmp_path, capsys, command, ["[1]"])
+        assert "PATH:1: expected a JSON object, got list" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"word": "girl"}, "missing key 'category'"),
+            ({"category": "N", "word": 3}, "category, word and pose_source must be strings"),
+            ({"category": "N", "word": "girl", "features": ["num"]},
+             "features must be an object"),
+        ],
+    )
+    def test_slot_lexicon_bad_line_cites_line(self, tmp_path, capsys, row, message):
+        lines = [json.dumps({"category": "N", "word": "boy"}), json.dumps(row)]
+        err = self.run(tmp_path, capsys, "gen", lines)
+        assert f"PATH:2: {message}" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"id": 5, "text": ["a"]}, "id must be a string"),
+            ({"id": "r", "text": "hello world"}, "text must be a list of strings"),
+            ({"id": "r", "text": ["a", 3]}, "text must be a list of strings"),
+            ({"id": "r", "text": ["a"], "phenomenon": 3}, "phenomenon must be a string"),
+            ({"id": "r", "text": ["a"], "n_frames": "9"}, "n_frames must be an integer"),
+            ({"id": "r", "text": ["a"], "pose_path": 5, "n_frames": 9},
+             "pose_path must be a string"),
+        ],
+    )
+    def test_manifest_field_types(self, tmp_path, capsys, row, message):
+        err = self.run(tmp_path, capsys, "stats", [json.dumps(row)])
+        assert "PATH:1:" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "pair", [{"candidate": 3, "reference": "a b"}, {"candidate": "a b", "reference": ["a"]}]
+    )
+    def test_eval_non_string_side_cites_line(self, tmp_path, capsys, pair):
+        lines = [json.dumps({"candidate": "a b", "reference": "a b"}), json.dumps(pair)]
+        err = self.run(tmp_path, capsys, "eval", lines)
+        assert "PATH:2: candidate and reference must be strings" in err

@@ -1,10 +1,13 @@
-"""Golden digest of a seeded gen -> stitch run.
+"""Golden digests of a seeded gen -> stitch run and a seeded ingest run.
 
-The constant below was recorded before the streaming stitch rewrite, so a
-pass proves the stitched pose files and manifest are byte-identical to the
+GOLDEN_SHA256 was recorded before the streaming stitch rewrite, so a pass
+proves the stitched pose files and manifest are byte-identical to the
 per-boundary, thread-pool implementation they replaced.  Paths are relative
 to the test's working directory, so manifest ``pose_path`` values carry no
 machine-specific prefix.
+
+INGEST_SHA256 was recorded on the per-frame ``RawLandmarkFrame`` ingest, before
+ingest became one ``(T, 543, 3)`` array from parse to ``.psp``.
 """
 
 from __future__ import annotations
@@ -17,19 +20,28 @@ import numpy as np
 import pytest
 
 from signsynth.cli import cli
-from signsynth.io import write_pose_file
-from signsynth.pose import FRAME_DIM, PoseSequence
+from signsynth.io import write_pose_file, write_raw_landmark_file
+from signsynth.pose import (
+    FRAME_DIM,
+    GROUP_OFFSETS,
+    HAND_LANDMARKS,
+    TOTAL_LANDMARKS,
+    PoseSequence,
+    RawLandmarkFrame,
+)
 from signsynth.templates import load_slot_lexicon
 
 GOLDEN_SHA256 = "2ecc8bb42b3c6e13e8de3028b7ce1f32685277574e4af8df642356f7a88d724a"
+INGEST_SHA256 = "0c0527c5ec674b43bf6c2e73c22c720dc2575831c997ba0aa742a1d7ff8f45ec"
 
 
-def _tree_digest(out_dir: Path, manifest: Path) -> str:
+def _tree_digest(out_dir: Path, manifest: Path | None = None) -> str:
     h = hashlib.sha256()
     for path in sorted(out_dir.iterdir()):
         h.update(path.name.encode("utf-8") + b"\0")
         h.update(path.read_bytes())
-    h.update(b"manifest\0" + manifest.read_bytes())
+    if manifest is not None:
+        h.update(b"manifest\0" + manifest.read_bytes())
     return h.hexdigest()
 
 
@@ -62,3 +74,35 @@ def test_rwo_jitter_stitch_digest(tmp_path, monkeypatch, jobs):
         "--target-mean", "18", "--word-order", "rwo", "--jitter", "1,2,3",
     ]) == 0
     assert _tree_digest(Path("poses"), Path("stitched.jsonl")) == GOLDEN_SHA256
+
+
+def test_ingest_digest(tmp_path):
+    # Random walks with about 20% low-confidence points, so the fill runs;
+    # the last clip's right hand is at confidence 0 throughout, so those
+    # points have no donor and stay unresolved.
+    rng = np.random.default_rng(4242)
+    raw_dir = tmp_path / "raw"
+    raw_dir.mkdir()
+    n_clips = 6
+    for i in range(n_clips):
+        n = int(rng.integers(1, 15))
+        pos = np.clip(
+            rng.random((TOTAL_LANDMARKS, 2))
+            + np.cumsum(rng.normal(0.0, 0.02, (n, TOTAL_LANDMARKS, 2)), axis=0),
+            0.0,
+            1.0,
+        )
+        low = rng.random((n, TOTAL_LANDMARKS)) < 0.2
+        conf = np.where(low, rng.random((n, TOTAL_LANDMARKS)), 1.0)
+        if i == n_clips - 1:
+            start = GROUP_OFFSETS["right_hand"]
+            conf[:, start : start + HAND_LANDMARKS] = 0.0
+        stacked = np.concatenate([pos, conf[:, :, None]], axis=2)
+        write_raw_landmark_file(
+            raw_dir / f"word{i}.jsonl", [RawLandmarkFrame.from_stacked(f) for f in stacked]
+        )
+
+    out_dir = tmp_path / "lexicon"
+    assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(out_dir)]) == 0
+    assert len(list(out_dir.iterdir())) == n_clips
+    assert _tree_digest(out_dir) == INGEST_SHA256

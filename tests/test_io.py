@@ -102,9 +102,9 @@ class TestRawLandmarkFile:
         path = tmp_path / "word.jsonl"
         write_raw_landmark_file(path, frames)
         again = read_raw_landmark_file(path)
-        assert len(again) == 3
-        for a, b in zip(frames, again):
-            assert np.array_equal(a.stacked(), b.stacked())
+        assert again.shape == (3, 543, 3)
+        assert again.dtype == np.float32
+        assert np.array_equal(again, np.stack([f.stacked() for f in frames]))
 
     def test_wrong_body_count_cites_line(self, rng, tmp_path):
         frames = [random_raw_frame(rng), random_raw_frame(rng)]
@@ -124,6 +124,33 @@ class TestRawLandmarkFile:
         with pytest.raises(DataError, match=":1"):
             read_raw_landmark_file(path)
 
+    @pytest.mark.parametrize(
+        "group, point, message",
+        [
+            ("face", [float("nan"), 0.5, 0.9], "face: contains non-finite"),
+            ("left_hand", [0.5, 0.5, 1.5], "left_hand: confidence outside"),
+            ("body", [0.5, 0.5], "body: expected 33 points of 3 numbers"),
+            ("right_hand", [0.5, "0.5", 0.9], "right_hand: expected 21 points of 3 numbers"),
+        ],
+    )
+    def test_bad_point_cites_line(self, rng, tmp_path, group, point, message):
+        path = tmp_path / "word.jsonl"
+        write_raw_landmark_file(path, [random_raw_frame(rng) for _ in range(3)])
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj[group][4] = point
+        lines[2] = json.dumps(obj)  # a NaN is written as the bare literal NaN
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":3: {message}"):
+            read_raw_landmark_file(path)
+
+    def test_non_object_line_cites_line(self, rng, tmp_path):
+        path = tmp_path / "word.jsonl"
+        write_raw_landmark_file(path, [random_raw_frame(rng)])
+        path.write_text(path.read_text() + "\n[1]\n")
+        with pytest.raises(DataError, match=":3: expected a JSON object, got list"):
+            read_raw_landmark_file(path)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_property(self, seed, n):
@@ -135,9 +162,7 @@ class TestRawLandmarkFile:
             path = os.path.join(d, "w.jsonl")
             write_raw_landmark_file(path, frames)
             again = read_raw_landmark_file(path)
-            assert all(
-                np.array_equal(a.stacked(), b.stacked()) for a, b in zip(frames, again)
-            )
+            assert np.array_equal(again, np.stack([f.stacked() for f in frames]))
 
 
 class TestManifest:
@@ -170,6 +195,13 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"id": "x", "text": ["a"]}) + "\n{oops\n")
         with pytest.raises(DataError, match=":2"):
+            read_manifest(path)
+
+    def test_deeply_nested_line_cites_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(json.dumps({"id": "x", "text": ["a"]}) + "\n" + deep + "\n")
+        with pytest.raises(DataError, match=":2: invalid JSON"):
             read_manifest(path)
 
     def test_text_corpus_reader(self, tmp_path):

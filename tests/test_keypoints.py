@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from signsynth.keypoints import (
     InterpolationReport,
+    fill_low_confidence,
     flatten_video,
     interpolate_low_confidence,
     process_word_video,
@@ -141,27 +142,68 @@ class TestSelectAndFlatten:
         assert not np.any(np.isclose(out.values, sentinel))
 
 
+def stack(frames) -> np.ndarray:
+    return np.stack([f.stacked() for f in frames])
+
+
+class TestArrayCore:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_fill_matches_bruteforce_oracle(self, seed, n, threshold):
+        rng = np.random.default_rng(seed)
+        stacked = rng.random((n, 543, 3)).astype(np.float32)
+        # Whole landmark columns with no confident frame, so some stay unresolved.
+        stacked[:, rng.integers(0, 543, 5), 2] = 0.0
+        before = stacked.copy()
+        filled, report = fill_low_confidence(stacked, threshold)
+        expected, n_filled, unresolved = oracles.nearest_donor_fill(
+            [[tuple(pt) for pt in frame] for frame in stacked.tolist()], threshold
+        )
+        assert np.array_equal(filled, np.array(expected, dtype=np.float32))
+        assert report.keypoints_filled == n_filled
+        assert report.unresolved == unresolved
+        assert np.array_equal(stacked, before)  # the input is not modified
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_flatten_rows_match_per_frame_and_oracle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        stacked = rng.random((n, 543, 3)).astype(np.float32)
+        sel = default_selection()
+        seq = flatten_video(stacked, sel, source_id="w")
+        assert seq.frames.shape == (n, FRAME_DIM)
+        assert seq.source_id == "w"
+        for t in range(n):
+            frame = RawLandmarkFrame.from_stacked(stacked[t])
+            assert np.array_equal(seq.frames[t], select_and_flatten(frame, sel).values)
+            want = oracles.selection_index_map(
+                stacked[t].tolist(), sel.body_indices, sel.face_indices
+            )
+            assert np.array_equal(seq.frames[t], np.array(want, dtype=np.float32))
+
+
 class TestProcessWordVideo:
     def test_preserves_frame_count(self, rng):
         frames = [random_raw_frame(rng) for _ in range(10)]
-        seq = process_word_video(frames, default_selection(), 0.8, source_id="w1")
+        seq, _ = process_word_video(stack(frames), default_selection(), 0.8, source_id="w1")
         assert len(seq) == 10
         assert seq.source_id == "w1"
 
     def test_equals_composition(self, rng):
         frames = [random_raw_frame(rng) for _ in range(7)]
         sel = default_selection()
-        seq = process_word_video(frames, sel, 0.8)
-        patched, _ = interpolate_low_confidence(frames, 0.8)
-        composed = flatten_video(patched, sel)
+        seq, report = process_word_video(stack(frames), sel, 0.8)
+        patched, want_report = interpolate_low_confidence(frames, 0.8)
+        composed = flatten_video(stack(patched), sel)
         assert np.array_equal(seq.frames, composed.frames)
+        assert report == want_report
 
     def test_all_confident_equals_flatten(self, rng):
-        frames = [random_raw_frame(rng, confidence=1.0) for _ in range(4)]
+        stacked = stack([random_raw_frame(rng, confidence=1.0) for _ in range(4)])
         sel = default_selection()
-        assert np.array_equal(
-            process_word_video(frames, sel, 0.8).frames, flatten_video(frames, sel).frames
-        )
+        seq, report = process_word_video(stacked, sel, 0.8)
+        assert np.array_equal(seq.frames, flatten_video(stacked, sel).frames)
+        assert report == InterpolationReport(0, 0, 0)
 
     def test_low_confidence_hand_landmark(self, rng):
         # One shaky left-hand landmark: processing must equal processing the
@@ -173,9 +215,9 @@ class TestProcessWordVideo:
             frame_with_conf(rng, {hand_g: 0.9}),
         ]
         sel = default_selection()
-        seq = process_word_video(frames, sel, 0.8)
+        seq, _ = process_word_video(stack(frames), sel, 0.8)
         patched, _ = interpolate_low_confidence(frames, 0.8)
-        assert np.array_equal(seq.frames, flatten_video(patched, sel).frames)
+        assert np.array_equal(seq.frames, flatten_video(stack(patched), sel).frames)
         # The patched value actually comes from frame 0 (earlier-donor tie).
         assert np.array_equal(
             patched[1].stacked()[hand_g, :2], frames[0].stacked()[hand_g, :2]
