@@ -55,15 +55,17 @@ def _setting(args, config: dict[str, str], name: str, cast, default):
     return default
 
 
+def _settings(args, config: dict[str, str], **casts) -> dict:
+    """The named settings given by flag or config file; unset ones are left
+    out, so the library's own defaults apply."""
+    values = {name: _setting(args, config, name, cast, None) for name, cast in casts.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _read_corpus(path, as_text: bool):
     if as_text:
         return io.read_text_corpus(path)
     return io.read_manifest(path)
-
-
-def _read_vocab_words(args) -> set[str]:
-    with open(args.vocab, encoding="utf-8") as fh:
-        return {line.strip().lower() for line in fh if line.strip()}
 
 
 def _cmd_gen(args, config) -> int:
@@ -84,7 +86,7 @@ def _cmd_gen(args, config) -> int:
 
 
 def _cmd_filter(args, config) -> int:
-    vocab = _read_vocab_words(args)
+    vocab = io.read_word_list(args.vocab)
     sentences = _read_corpus(args.input, args.text)
     min_rate = _setting(args, config, "min_rate", float, 0.9)
     kept = list(corpus.filter_corpus(sentences, vocab, min_rate))
@@ -95,11 +97,7 @@ def _cmd_filter(args, config) -> int:
 
 def _cmd_merge(args, config) -> int:
     sentences = io.read_manifest(args.input)
-    policy = corpus.MergePolicy(
-        max_len=_setting(args, config, "max_len", int, 8),
-        fraction=_setting(args, config, "fraction", float, 0.9),
-        group=_setting(args, config, "group", int, 3),
-    )
+    policy = corpus.MergePolicy(**_settings(args, config, max_len=int, fraction=float, group=int))
     merged = corpus.merge_short(sentences, policy, seed=args.seed)
     io.write_manifest(args.out, merged)
     stats = corpus.length_stats(merged)
@@ -112,10 +110,7 @@ def _cmd_merge(args, config) -> int:
 
 def _cmd_postprocess(args, config) -> int:
     sentences = io.read_manifest(args.input)
-    names: set[str] = set()
-    if args.names:
-        with open(args.names, encoding="utf-8") as fh:
-            names = {line.strip() for line in fh if line.strip()}
+    names = io.read_word_list(args.names) if args.names else set()
     extra = []
     for path in args.count_extra or []:
         extra.extend(io.read_manifest(path))
@@ -130,8 +125,6 @@ def _cmd_postprocess(args, config) -> int:
 
 def _cmd_ingest(args, config) -> int:
     raw_dir = Path(args.raw_dir)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     threshold = _setting(args, config, "threshold", float, 0.8)
     selection = default_selection()
     paths = sorted(raw_dir.glob("*.jsonl"))
@@ -139,15 +132,16 @@ def _cmd_ingest(args, config) -> int:
         raise io.DataError(f"{raw_dir}: no .jsonl raw landmark files")
 
     filled = unresolved = 0
-    for path in paths:
-        seq, report = keypoints.process_word_video(
-            io.read_raw_landmark_file(path), selection, threshold, source_id=path.stem
-        )
-        io.write_pose_file(out_dir / f"{path.stem}{io.POSE_FILE_SUFFIX}", seq)
-        filled += report.keypoints_filled
-        unresolved += report.unresolved
+    with io.pose_set(args.out_dir) as write_pose:
+        for path in paths:
+            seq, report = keypoints.process_word_video(
+                io.read_raw_landmark_file(path), selection, threshold, source_id=path.stem
+            )
+            write_pose(path.stem, seq)
+            filled += report.keypoints_filled
+            unresolved += report.unresolved
     print(
-        f"ingest: {len(paths)} words -> {out_dir} "
+        f"ingest: {len(paths)} words -> {args.out_dir} "
         f"(filled {filled} keypoints, {unresolved} unresolved)"
     )
     return 0
@@ -158,34 +152,26 @@ def _cmd_stitch(args, config) -> int:
     for record in records:  # ids become file names; check all before writing any
         io.check_file_stem(record.id)
     lex = io.load_sign_lexicon(args.lexicon_dir)
-    out_dir = Path(args.out_dir)
-    jitter = tuple(int(x) for x in args.jitter.split(",")) if args.jitter else (1,)
+    jitter = {}
+    if args.jitter:
+        jitter["jitter_strides"] = tuple(int(x) for x in args.jitter.split(","))
     cfg = stitch.StitchConfig(
         word_order=args.word_order,
-        jitter_strides=jitter,
-        crossfade_frames=_setting(args, config, "crossfade_frames", int, 2),
         seed=args.seed,
+        **jitter,
+        **_settings(args, config, crossfade_frames=int),
     )
     target_mean = _setting(args, config, "target_mean_frames", float, None)
     if target_mean is None:
         raise UsageError("--target-mean is required (or target_mean_frames in --config)")
 
-    with io.staged_dir(out_dir) as stage:
-
-        def write_pose(record, sequence) -> str:
-            # Fresh names in a private stage: a plain exclusive create is
-            # enough, since staged_dir publishes the files as a set.
-            name = f"{record.id}{io.POSE_FILE_SUFFIX}"
-            with open(stage / name, "xb") as fh:
-                fh.write(io.encode_pose(sequence))
-            return str(out_dir / name)
-
+    with io.pose_set(args.out_dir) as write_pose:
         result = stitch.stitch_dataset(
             records,
             lex,
             cfg,
             target_mean_frames=target_mean,
-            write_pose=write_pose,
+            write_pose=lambda record, sequence: write_pose(record.id, sequence),
             skip_oov=args.skip_oov,
         )
     io.write_manifest(args.out_manifest, result.records)
@@ -199,8 +185,7 @@ def _cmd_stitch(args, config) -> int:
 
 def _cmd_sample(args, config) -> int:
     sched = curriculum.AnnealSchedule(
-        max_real_fraction=_setting(args, config, "max_real_fraction", float, 0.85),
-        ramp_steps=_setting(args, config, "ramp_steps", int, 60_000),
+        **_settings(args, config, max_real_fraction=float, ramp_steps=int)
     )
     curriculum.write_schedule_csv(
         args.out, args.total_steps, sched, args.seed, args.real_size, args.synth_size

@@ -75,9 +75,7 @@ def truncate_frames(seq: PoseSequence, max_frames: int) -> PoseSequence:
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     if len(seq) <= max_frames:
         return seq
-    return PoseSequence(
-        frames=seq.frames[:max_frames], source_id=seq.source_id, fps_hint=seq.fps_hint
-    )
+    return PoseSequence(frames=seq.frames[:max_frames], source_id=seq.source_id)
 
 
 def emit_schedule(

@@ -1,10 +1,10 @@
 """File formats: binary pose files, raw landmark JSONL, dataset manifests.
 
 Pose payloads are binary (stitched datasets scale to millions of sequences);
-manifests and stats stay as human-auditable JSON.  Every file writer is
-atomic (temp file in the target directory, then rename); a directory of
-stitched pose files is built in a staging directory and published as a set
-(``staged_dir``).  Every read/write pair round-trips exactly.
+manifests and stats stay as human-auditable JSON.  A single file streams
+through ``atomic_open`` (temp file in the target directory, then rename); a
+set of pose files is written through ``pose_set`` and published as one
+directory.  Every read/write pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -62,11 +62,6 @@ def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[I
         raise
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    with atomic_open(path, "wb") as fh:
-        fh.write(data)
-
-
 @contextmanager
 def staged_dir(out_dir) -> Iterator[Path]:
     """Yield an empty sibling temp dir whose files are published to
@@ -97,11 +92,14 @@ def staged_dir(out_dir) -> Iterator[Path]:
 
 def read_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield ``(lineno, parse(obj))`` for each non-blank line's JSON object.
-    Invalid JSON, a non-object line, or a KeyError, TypeError or ValueError
-    from ``parse`` raises DataError citing ``path:lineno``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    Invalid UTF-8, invalid JSON, a non-object line, or a KeyError, TypeError
+    or ValueError from ``parse`` raises DataError citing ``path:lineno``."""
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte has a line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
             if not line:
                 continue
             try:
@@ -149,7 +147,27 @@ def encode_pose(seq: PoseSequence) -> bytes:
 
 
 def write_pose_file(path, seq: PoseSequence) -> None:
-    _atomic_write(Path(path), encode_pose(seq))
+    with atomic_open(path, "wb") as fh:
+        fh.write(encode_pose(seq))
+
+
+@contextmanager
+def pose_set(out_dir) -> Iterator[Callable[[str, PoseSequence], str]]:
+    """Yield ``write(stem, seq)``, which creates ``<stem>.psp`` in a
+    ``staged_dir`` stage and returns its published path in ``out_dir``.  The
+    block's files reach ``out_dir`` as a set: all of them, or on error none."""
+    out_dir = Path(out_dir)
+    with staged_dir(out_dir) as stage:
+
+        def write(stem: str, seq: PoseSequence) -> str:
+            # Fresh names in a private stage: a plain exclusive create is
+            # enough, since the stage is published as a whole.
+            name = f"{stem}{POSE_FILE_SUFFIX}"
+            with open(stage / name, "xb") as fh:
+                fh.write(encode_pose(seq))
+            return str(out_dir / name)
+
+        yield write
 
 
 def read_pose_file(path) -> PoseSequence:
@@ -182,14 +200,17 @@ def read_pose_file(path) -> PoseSequence:
 
 
 def load_sign_lexicon(directory) -> SignLexicon:
-    """Read every .psp file in a directory; the word is the file stem."""
+    """Read every .psp file in a directory; the word is the case-folded file
+    stem, and two files that fold to the same word are a DataError."""
     directory = Path(directory)
-    clips = {}
+    paths: dict[str, Path] = {}
     for path in sorted(directory.glob(f"*{POSE_FILE_SUFFIX}")):
-        clips[path.stem.lower()] = read_pose_file(path)
-    if not clips:
+        first = paths.setdefault(path.stem.lower(), path)
+        if first != path:
+            raise DataError(f"{first} and {path} are both the word {path.stem.lower()!r}")
+    if not paths:
         raise DataError(f"{directory}: no {POSE_FILE_SUFFIX} files found")
-    return SignLexicon(clips=clips)
+    return SignLexicon(clips={word: read_pose_file(path) for word, path in paths.items()})
 
 
 # --- raw landmark files ---------------------------------------------------------
@@ -261,14 +282,13 @@ def record_from_json(obj: dict) -> SentenceRecord:
 
 
 def write_manifest(path, records: Iterable[SentenceRecord]) -> None:
-    lines = []
     seen: set[str] = set()
-    for record in records:
-        if record.id in seen:
-            raise DataError(f"duplicate record id {record.id!r}")
-        seen.add(record.id)
-        lines.append(json.dumps(record_to_json(record)))
-    _atomic_write(Path(path), ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
+    with atomic_open(path) as fh:
+        for record in records:
+            if record.id in seen:
+                raise DataError(f"duplicate record id {record.id!r}")
+            seen.add(record.id)
+            fh.write(json.dumps(record_to_json(record)) + "\n")
 
 
 def read_manifest(path) -> list[SentenceRecord]:
@@ -291,6 +311,12 @@ def read_text_corpus(path, id_prefix: str = "line") -> list[SentenceRecord]:
             if tokens:
                 records.append(SentenceRecord(id=f"{id_prefix}{lineno:06d}", text=tuple(tokens)))
     return records
+
+
+def read_word_list(path) -> set[str]:
+    """One word per line, stripped and case-folded; blank lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return {word for line in fh if (word := line.strip().lower())}
 
 
 def _histogram_json(hist: LengthHistogram) -> dict:
@@ -317,10 +343,12 @@ def compute_stats(records: Sequence[SentenceRecord]) -> dict:
 
 
 def write_stats(path, stats: dict) -> None:
-    _atomic_write(Path(path), (json.dumps(stats, indent=2) + "\n").encode("utf-8"))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(stats, indent=2) + "\n")
 
 
 def write_histogram_csv(path, hist: LengthHistogram) -> None:
-    lines = ["length,count"]
-    lines.extend(f"{k},{v}" for k, v in sorted(hist.bins.items()))
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+    with atomic_open(path) as fh:
+        fh.write("length,count\n")
+        for k, v in sorted(hist.bins.items()):
+            fh.write(f"{k},{v}\n")

@@ -140,7 +140,6 @@ class PoseSequence:
 
     frames: np.ndarray
     source_id: str = ""
-    fps_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.frames, dtype=np.float32)

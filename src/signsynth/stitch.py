@@ -62,11 +62,6 @@ class SignLexicon:
     def words(self) -> set[str]:
         return set(self.clips)
 
-    def mean_clip_frames(self) -> float:
-        if not self.clips:
-            raise ValueError("empty sign lexicon")
-        return sum(len(seq) for seq in self.clips.values()) / len(self.clips)
-
 
 @dataclass(frozen=True)
 class StitchConfig:
@@ -112,9 +107,7 @@ def resample(seq: PoseSequence, stride: int) -> PoseSequence:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return seq
-    return PoseSequence(
-        frames=seq.frames[::stride], source_id=seq.source_id, fps_hint=seq.fps_hint
-    )
+    return PoseSequence(frames=seq.frames[::stride], source_id=seq.source_id)
 
 
 def _crossfade(last: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -204,7 +197,6 @@ def stitch_dataset(
     target_mean_frames: float,
     write_pose: Optional[Callable[[SentenceRecord, PoseSequence], str]] = None,
     skip_oov: bool = False,
-    jobs: int = 1,
 ) -> StitchDatasetResult:
     """Stitch every record, frame-rate matched against the target mean.
 
@@ -214,8 +206,7 @@ def stitch_dataset(
     and counted.  Records are stitched in input order and each sequence is
     passed to ``write_pose`` as soon as it is made, then dropped; only the
     output records are kept.  ``write_pose`` persists a sequence and returns
-    its path; output records then carry pose_path and n_frames.  ``jobs`` is
-    accepted for compatibility and has no effect.
+    its path; output records then carry pose_path and n_frames.
     """
     pre_lengths = []
     stitchable: list[SentenceRecord] = []

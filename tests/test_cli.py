@@ -282,6 +282,53 @@ class TestStitchOutputDir:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestIngestOutputDir:
+    """ingest publishes its pose files as a set, like stitch."""
+
+    def write_raw(self, raw_dir, rng, n=4, bad=None) -> Path:
+        raw_dir.mkdir()
+        for i, word in enumerate("abcd"[:n]):
+            write_raw_landmark_file(
+                raw_dir / f"{word}.jsonl", [random_raw_frame(rng) for _ in range(3)]
+            )
+            if i == bad:
+                with open(raw_dir / f"{word}.jsonl", "a") as fh:
+                    fh.write("{oops\n")
+        return raw_dir
+
+    def ingest(self, raw_dir, out_dir) -> int:
+        return cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(out_dir)])
+
+    def test_bad_third_file_writes_nothing(self, tmp_path, rng, capsys):
+        raw_dir = self.write_raw(tmp_path / "raw", rng, bad=2)
+        assert self.ingest(raw_dir, tmp_path / "lex") == 2
+        assert "c.jsonl:4: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "lex").exists()
+        assert not list(tmp_path.rglob("*.psp"))
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_empty_raw_dir_creates_no_out_dir(self, tmp_path):
+        (tmp_path / "raw").mkdir()
+        assert self.ingest(tmp_path / "raw", tmp_path / "lex") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+
+    def test_existing_dir_keeps_unrelated_files(self, tmp_path, rng):
+        out_dir = tmp_path / "lex"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("keep me\n")
+        (out_dir / "a.psp").write_bytes(b"stale")
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        # A failed run leaves the dir as it was; a good one moves its files in.
+        assert self.ingest(self.write_raw(tmp_path / "bad", rng, bad=2), out_dir) == 2
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert self.ingest(self.write_raw(tmp_path / "good", rng, n=2), out_dir) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.psp", "b.psp", "notes.txt"]
+        assert (out_dir / "notes.txt").read_text() == "keep me\n"
+        assert len(read_pose_file(out_dir / "a.psp")) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good", "lex"]
+
+
 class TestSampleTokenizeEval:
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "schedule.csv"
@@ -388,10 +435,13 @@ class TestMalformedJsonLines:
                     "--out", str(tmp_path / "m.jsonl")],
         }[command]
 
-    def run(self, tmp_path, capsys, command, lines) -> str:
+    def run(self, tmp_path, capsys, command, lines, newline="\n") -> str:
         path = tmp_path / "in" / "word.jsonl"
         path.parent.mkdir()
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_bytes(b"".join(
+            (line if isinstance(line, bytes) else line.encode()) + newline.encode()
+            for line in lines
+        ))
         assert cli(self.argv(command, path, tmp_path)) == 2
         return capsys.readouterr().err.replace(str(path), "PATH")
 
@@ -399,6 +449,12 @@ class TestMalformedJsonLines:
     def test_non_object_line_exits_2(self, tmp_path, capsys, command):
         err = self.run(tmp_path, capsys, command, ["[1]"])
         assert "PATH:1: expected a JSON object, got list" in err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("command", ["stats", "eval", "ingest", "gen"])
+    def test_invalid_utf8_cites_line(self, tmp_path, capsys, command, newline):
+        err = self.run(tmp_path, capsys, command, ["", " ", b"\xff\xfe"], newline)
+        assert "PATH:3: invalid UTF-8" in err
 
     @pytest.mark.parametrize(
         "row, message",

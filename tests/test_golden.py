@@ -8,11 +8,18 @@ machine-specific prefix.
 
 INGEST_SHA256 was recorded on the per-frame ``RawLandmarkFrame`` ingest, before
 ingest became one ``(T, 543, 3)`` array from parse to ``.psp``.
+
+CHAIN_SHA256 covers the rest of the chain (gen --stats, filter, merge,
+postprocess, sample, tokenize, eval, stats --hist-csv).  It was recorded
+before the file writers were rewritten to stream through ``atomic_open`` and
+before the CLI took its defaults and word lists from the library.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -33,6 +40,7 @@ from signsynth.templates import load_slot_lexicon
 
 GOLDEN_SHA256 = "2ecc8bb42b3c6e13e8de3028b7ce1f32685277574e4af8df642356f7a88d724a"
 INGEST_SHA256 = "0c0527c5ec674b43bf6c2e73c22c720dc2575831c997ba0aa742a1d7ff8f45ec"
+CHAIN_SHA256 = "f02eb45a5ff2c038766e7fccfa1f9505b4f54b7c9293636b21b8187c17fd12da"
 
 
 def _tree_digest(out_dir: Path, manifest: Path | None = None) -> str:
@@ -106,3 +114,70 @@ def test_ingest_digest(tmp_path):
     assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(out_dir)]) == 0
     assert len(list(out_dir.iterdir())) == n_clips
     assert _tree_digest(out_dir) == INGEST_SHA256
+
+
+def test_chain_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = resources.files("signsynth.data")
+    with resources.as_file(data / "toy_slot_lexicon.jsonl") as lpath, \
+            resources.as_file(data / "toy_templates.tsv") as tpath:
+        words = sorted(load_slot_lexicon(lpath).words())
+        assert cli([
+            "--seed", "23",
+            "gen", "--templates", str(tpath), "--lexicon", str(lpath),
+            "--sample", "5", "--out", "templates.jsonl", "--stats", "template_stats.json",
+        ]) == 0
+
+    # Mixed-case, padded word lists with blank lines: the readers case-fold
+    # and skip blanks.  The corpus mixes vocabulary, names and unknown words.
+    rng = random.Random(23)
+    names = ["Alice", "bob", "CAROL", "Dmitri"]
+    Path("vocab.txt").write_text(
+        "".join(f"  {w.upper() if i % 3 == 0 else w}\n\n" for i, w in enumerate(words)),
+        encoding="utf-8",
+    )
+    Path("names.txt").write_text("\n".join(names) + "\n\n", encoding="utf-8")
+    lines = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        tokens = [rng.choice(words) for _ in range(n)]
+        for i in range(n):
+            roll = rng.random()
+            if roll < 0.05:
+                tokens[i] = rng.choice(names)
+            elif roll < 0.1:
+                tokens[i] = f"Oov{rng.randrange(150)}"
+            elif roll < 0.2:
+                tokens[i] = tokens[i].capitalize()
+        lines.append(" ".join(tokens))
+    Path("corpus.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    # merge and sample run on their defaults, so the defaults are pinned too.
+    for argv in (
+        ["filter", "--in", "corpus.txt", "--text", "--vocab", "vocab.txt",
+         "--min-rate", "0.8", "--out", "matched.jsonl"],
+        ["--seed", "23", "merge", "--in", "matched.jsonl", "--out", "merged.jsonl"],
+        ["postprocess", "--in", "merged.jsonl", "--names", "names.txt", "--min-freq", "2",
+         "--count-extra", "templates.jsonl", "--out", "final.jsonl"],
+        ["--seed", "23", "sample", "--total-steps", "400", "--real-size", "50",
+         "--synth-size", "900", "--out", "schedule.csv"],
+        ["tokenize", "train", "--in", "final.jsonl", "--extra", "templates.jsonl",
+         "--vocab-size", "120", "--model", "bpe.json"],
+        ["tokenize", "encode", "--in", "templates.jsonl", "--model", "bpe.json",
+         "--out", "encoded.jsonl"],
+    ):
+        assert cli(argv) == 0, argv
+
+    merged = {json.loads(line)["id"]: json.loads(line)["text"]
+              for line in Path("merged.jsonl").read_text(encoding="utf-8").splitlines()}
+    with open("pairs.jsonl", "w", encoding="utf-8") as fh:
+        for line in Path("final.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            fh.write(json.dumps({"candidate": " ".join(row["text"]),
+                                 "reference": " ".join(merged[row["id"]])}) + "\n")
+    assert cli(["eval", "--in", "pairs.jsonl", "--smooth", "--out", "eval.json"]) == 0
+    assert cli(["stats", "--manifest", "final.jsonl", "--out", "stats.json",
+                "--hist-csv", "hist"]) == 0
+
+    assert len(list(tmp_path.iterdir())) == 16
+    assert _tree_digest(tmp_path) == CHAIN_SHA256

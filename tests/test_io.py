@@ -15,10 +15,12 @@ from signsynth.io import (
     check_file_stem,
     compute_stats,
     load_sign_lexicon,
+    pose_set,
     read_manifest,
     read_pose_file,
     read_raw_landmark_file,
     read_text_corpus,
+    read_word_list,
     staged_dir,
     write_manifest,
     write_pose_file,
@@ -94,6 +96,13 @@ class TestPoseFile:
     def test_empty_lexicon_dir_errors(self, tmp_path):
         with pytest.raises(DataError, match="no .psp"):
             load_sign_lexicon(tmp_path)
+
+    def test_case_folded_stem_collision_errors(self, rng, tmp_path):
+        for word in ("Boy", "boy", "girl"):
+            write_pose_file(tmp_path / f"{word}.psp", random_sequence(rng, source_id=word))
+        with pytest.raises(DataError) as exc:
+            load_sign_lexicon(tmp_path)
+        assert "Boy.psp" in str(exc.value) and "boy.psp" in str(exc.value)
 
 
 class TestRawLandmarkFile:
@@ -203,6 +212,21 @@ class TestManifest:
         path.write_text(json.dumps({"id": "x", "text": ["a"]}) + "\n" + deep + "\n")
         with pytest.raises(DataError, match=":2: invalid JSON"):
             read_manifest(path)
+
+    def test_crlf_lines_keep_numbers(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_manifest(path, self.records())
+        crlf = path.read_bytes().replace(b"\n", b"\r\n")
+        path.write_bytes(crlf)
+        assert read_manifest(path) == self.records()
+        path.write_bytes(crlf + b"\r\n{oops\r\n")
+        with pytest.raises(DataError, match=":4: invalid JSON"):
+            read_manifest(path)
+
+    def test_word_list_reader(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("  Boy\n\nGIRL \r\nboy\n")
+        assert read_word_list(path) == {"boy", "girl"}
 
     def test_text_corpus_reader(self, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -396,6 +420,27 @@ class TestStagedDir:
                 raise RuntimeError("stitch failed")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+class TestPoseSet:
+    def test_publishes_set_under_returned_paths(self, rng, tmp_path):
+        out = tmp_path / "out"
+        seqs = {"a": random_sequence(rng), "b": random_sequence(rng)}
+        with pose_set(out) as write:
+            paths = {stem: write(stem, seq) for stem, seq in seqs.items()}
+            assert not out.exists()
+        assert paths == {stem: str(out / f"{stem}.psp") for stem in seqs}
+        for stem, seq in seqs.items():
+            assert read_pose_file(paths[stem]).frames.tobytes() == seq.frames.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_error_publishes_nothing(self, rng, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError):
+            with pose_set(out) as write:
+                write("a", random_sequence(rng))
+                raise RuntimeError("ingest failed")
+        assert not list(tmp_path.iterdir())
 
 
 class TestCheckFileStem:

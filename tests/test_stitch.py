@@ -263,26 +263,6 @@ class TestStitchDataset:
         assert result.skipped == 1
         assert len(result.records) == 2
 
-    def test_jobs_do_not_change_output(self):
-        lex = make_lexicon({w: 5 + i for i, w in enumerate("abcdef")})
-        records = self.make_records(
-            [["a", "b"], ["c", "d", "e"], ["f"], ["a", "f", "c"]] * 5
-        )
-        cfg = StitchConfig(word_order="rwo", crossfade_frames=1, seed=5)
-        seq_by_jobs = {}
-        for jobs in (1, 8):
-            captured = {}
-
-            def write_pose(record, sequence, captured=captured):
-                captured[record.id] = sequence.frames.tobytes()
-                return f"{record.id}.psp"
-
-            result = stitch_dataset(
-                records, lex, cfg, target_mean_frames=10.0, write_pose=write_pose, jobs=jobs
-            )
-            seq_by_jobs[jobs] = (result.records, captured)
-        assert seq_by_jobs[1] == seq_by_jobs[8]
-
     def test_streams_one_sequence_at_a_time(self):
         lex = make_lexicon({"a": 6, "b": 9})
         records = self.make_records([["a", "b"], ["b"], ["b", "a", "a"]] * 4)
