@@ -127,13 +127,13 @@ def _cmd_ingest(args, config) -> int:
     raw_dir = Path(args.raw_dir)
     threshold = _setting(args, config, "threshold", float, 0.8)
     selection = default_selection()
-    paths = sorted(raw_dir.glob("*.jsonl"))
+    paths = io.files_by_word(raw_dir, ".jsonl")
     if not paths:
         raise io.DataError(f"{raw_dir}: no .jsonl raw landmark files")
 
     filled = unresolved = 0
     with io.pose_set(args.out_dir) as write_pose:
-        for path in paths:
+        for path in paths.values():
             seq, report = keypoints.process_word_video(
                 io.read_raw_landmark_file(path), selection, threshold, source_id=path.stem
             )

@@ -5,6 +5,12 @@ manifests and stats stay as human-auditable JSON.  A single file streams
 through ``atomic_open`` (temp file in the target directory, then rename); a
 set of pose files is written through ``pose_set`` and published as one
 directory.  Every read/write pair round-trips exactly.
+
+JSON lines are parsed with ``orjson``.  A line that orjson would read
+differently from the stdlib ``json`` module (an integer beyond 64 bits, deep
+nesting), that it rejects, or that is not an object is read by ``json``
+instead, so the accepted inputs, the values and the error messages are those
+of ``json``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+import orjson
 
 from .corpus import LengthHistogram
 from .pose import (
@@ -70,10 +77,12 @@ def staged_dir(out_dir) -> Iterator[Path]:
     The stage is renamed onto ``out_dir`` when that is absent or an empty
     directory; otherwise (a non-empty directory, or a symlink to one) each
     staged file is moved in with ``os.replace``, overwriting files of the same
-    name and keeping the rest.  If the block raises, the stage is removed and
-    ``out_dir`` is not touched.
+    name and keeping the rest.  If the block raises, the stage is removed,
+    ``out_dir`` is not touched, and the missing parents of ``out_dir`` that
+    were created for the stage are removed while they are empty.
     """
     out_dir = Path(out_dir)
+    made = [p for p in out_dir.parents if not p.exists()]  # innermost first
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = out_dir.parent / f".{out_dir.name}.{secrets.token_hex(8)}.tmp"
     stage.mkdir()  # mode 0o777 under the umask, as a plain mkdir
@@ -87,29 +96,71 @@ def staged_dir(out_dir) -> Iterator[Path]:
             os.replace(stage, out_dir)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        for parent in made:
+            try:
+                parent.rmdir()
+            except OSError:  # no longer empty, or already gone
+                break
         raise
+
+
+# Lines that orjson.loads reads differently from json.loads show up in one
+# bytes.translate of the line: digits become "0"; ",", ":", "-" and
+# whitespace, which with "[" are the bytes a number's digits can follow,
+# become ","; and "{" becomes "[", so that one count sees every opening
+# bracket.
+_ORJSON_GUARD = bytes.maketrans(b"0123456789{:-\t\n\v\f\r ", b"0000000000[,,,,,,,,")
+# orjson reads an integer beyond 64 bits as a float; json reads it exactly.
+# Every such integer is a token of 19 or more digits.
+_LONG_INT = (b"," + b"0" * 19, b"[" + b"0" * 19)
+# orjson has no nesting limit; json raises RecursionError near the
+# interpreter's recursion limit (1000 by default).  Fewer opening brackets
+# than this keep a line well below that.
+_ORJSON_MAX_BRACKETS = 768
+
+
+def _orjson_object(raw: bytes) -> dict | None:
+    """``orjson.loads(raw)`` when that is an object that json would read the
+    same; otherwise None."""
+    guard = raw.translate(_ORJSON_GUARD)
+    if guard.count(b"[") >= _ORJSON_MAX_BRACKETS or any(run in guard for run in _LONG_INT):
+        return None
+    try:
+        obj = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    return obj if type(obj) is dict else None
+
+
+def _json_object(path, lineno: int, raw: bytes) -> dict | None:
+    """The stdlib reading of one line: its JSON object, or None if blank."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def read_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield ``(lineno, parse(obj))`` for each non-blank line's JSON object.
     Invalid UTF-8, invalid JSON, a non-object line, or a KeyError, TypeError
-    or ValueError from ``parse`` raises DataError citing ``path:lineno``."""
+    or ValueError from ``parse`` raises DataError citing ``path:lineno``.
+    Lines are parsed as ``json.loads`` parses them (see the module notes)."""
     with open(path, "rb") as fh:  # decoded per line, so a bad byte has a line
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DataError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
-                )
+            obj = _orjson_object(raw)
+            if obj is None:
+                obj = _json_object(path, lineno, raw)
+                if obj is None:
+                    continue
             try:
                 value = parse(obj)
             except KeyError as exc:
@@ -199,15 +250,23 @@ def read_pose_file(path) -> PoseSequence:
     return PoseSequence(frames=frames, source_id=str(header.get("source_id", "")))
 
 
-def load_sign_lexicon(directory) -> SignLexicon:
-    """Read every .psp file in a directory; the word is the case-folded file
-    stem, and two files that fold to the same word are a DataError."""
-    directory = Path(directory)
+def files_by_word(directory, suffix: str) -> dict[str, Path]:
+    """Map the case-folded stem of each ``*suffix`` file in a directory to its
+    path, in sorted path order; two files that fold to the same word are a
+    DataError naming both."""
     paths: dict[str, Path] = {}
-    for path in sorted(directory.glob(f"*{POSE_FILE_SUFFIX}")):
+    for path in sorted(Path(directory).glob(f"*{suffix}")):
         first = paths.setdefault(path.stem.lower(), path)
         if first != path:
             raise DataError(f"{first} and {path} are both the word {path.stem.lower()!r}")
+    return paths
+
+
+def load_sign_lexicon(directory) -> SignLexicon:
+    """Read every .psp file in a directory; the word is the case-folded file
+    stem (see ``files_by_word``)."""
+    directory = Path(directory)
+    paths = files_by_word(directory, POSE_FILE_SUFFIX)
     if not paths:
         raise DataError(f"{directory}: no {POSE_FILE_SUFFIX} files found")
     return SignLexicon(clips={word: read_pose_file(path) for word, path in paths.items()})

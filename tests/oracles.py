@@ -9,6 +9,7 @@ can cross-check the real code against an unrelated computation path.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -329,3 +330,42 @@ def stitch_sentence_reference(
         boundaries.append((word, cursor, cursor + len(clip)))
         cursor += len(clip)
     return np.concatenate(pieces, axis=0), tuple(boundaries), stride
+
+
+# --- JSON lines ----------------------------------------------------------------
+
+
+class ReferenceDataError(Exception):
+    """A bad line in ``read_jsonl_reference``; the text is the one the real
+    reader's DataError must carry."""
+
+
+def read_jsonl_reference(path, parse):
+    """Yield ``(lineno, parse(obj))`` for each non-blank line's JSON object,
+    parsed by the stdlib alone: strict UTF-8 decode, ``strip``, ``json.loads``.
+    Invalid UTF-8, invalid JSON, a non-object line, or a KeyError, TypeError
+    or ValueError from ``parse`` raises ReferenceDataError citing
+    ``path:lineno``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ReferenceDataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ReferenceDataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ReferenceDataError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            try:
+                value = parse(obj)
+            except KeyError as exc:
+                raise ReferenceDataError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ReferenceDataError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, value

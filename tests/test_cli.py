@@ -16,7 +16,14 @@ from signsynth.io import (
     write_pose_file,
     write_raw_landmark_file,
 )
-from signsynth.pose import FRAME_DIM, PoseFrame, PoseSequence, RawLandmarkFrame, SentenceRecord
+from signsynth.pose import (
+    FRAME_DIM,
+    LANDMARK_GROUPS,
+    PoseFrame,
+    PoseSequence,
+    RawLandmarkFrame,
+    SentenceRecord,
+)
 from signsynth.templates import PHENOMENA
 
 from .conftest import random_raw_frame
@@ -328,6 +335,24 @@ class TestIngestOutputDir:
         assert len(read_pose_file(out_dir / "a.psp")) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good", "lex"]
 
+    def test_failed_run_removes_parents_it_created(self, tmp_path, rng, capsys):
+        raw_dir = self.write_raw(tmp_path / "raw", rng, n=1, bad=0)
+        assert self.ingest(raw_dir, tmp_path / "missing" / "deeper" / "lex") == 2
+        assert "a.jsonl:4: invalid JSON" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+
+    def test_case_folded_stem_collision_writes_nothing(self, tmp_path, rng, capsys):
+        raw_dir = tmp_path / "raw"
+        raw_dir.mkdir()
+        for word in ("Boy", "boy", "girl"):
+            write_raw_landmark_file(
+                raw_dir / f"{word}.jsonl", [random_raw_frame(rng) for _ in range(3)]
+            )
+        assert self.ingest(raw_dir, tmp_path / "lex") == 2
+        err = capsys.readouterr().err
+        assert f"{raw_dir / 'Boy.jsonl'} and {raw_dir / 'boy.jsonl'} are both the word 'boy'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+
 
 class TestSampleTokenizeEval:
     def test_sample_csv(self, tmp_path):
@@ -494,3 +519,54 @@ class TestMalformedJsonLines:
         lines = [json.dumps({"candidate": "a b", "reference": "a b"}), json.dumps(pair)]
         err = self.run(tmp_path, capsys, "eval", lines)
         assert "PATH:2: candidate and reference must be strings" in err
+
+
+class TestHostileJsonLines:
+    """Lines that the stdlib JSON parser reads in its own way keep the exit
+    code and message they had before JSON lines were parsed with orjson."""
+
+    def ingest_second_line(self, tmp_path, capsys, rng, line: str) -> tuple[int, str]:
+        raw_dir = tmp_path / "raw"
+        raw_dir.mkdir()
+        path = raw_dir / "word.jsonl"
+        write_raw_landmark_file(path, [random_raw_frame(rng)])
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        code = cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "lex")])
+        assert not (tmp_path / "lex").exists()
+        return code, capsys.readouterr().err.replace(str(path), "PATH")
+
+    def frame_obj(self, rng) -> dict:
+        frame = random_raw_frame(rng)
+        return {name: getattr(frame, name).tolist() for name in LANDMARK_GROUPS}
+
+    def test_bare_nan_coordinate(self, tmp_path, capsys, rng):
+        obj = self.frame_obj(rng)
+        obj["body"][0][0] = float("nan")
+        line = json.dumps(obj)
+        assert "[NaN, " in line
+        code, err = self.ingest_second_line(tmp_path, capsys, rng, line)
+        assert code == 2
+        assert "PATH:2: body: contains non-finite values" in err
+
+    def test_30_digit_integer_coordinate(self, tmp_path, capsys, rng):
+        obj = self.frame_obj(rng)
+        obj["body"][0][0] = 123456789012345678901234567890
+        code, err = self.ingest_second_line(tmp_path, capsys, rng, json.dumps(obj))
+        assert code == 2
+        assert "PATH:2: body: expected 33 points of 3 numbers [x, y, c]" in err
+
+    def test_extra_key_nested_5000_deep(self, tmp_path, capsys, rng):
+        line = json.dumps(self.frame_obj(rng))[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}"
+        code, err = self.ingest_second_line(tmp_path, capsys, rng, line)
+        assert code == 2
+        assert "PATH:2: invalid JSON: maximum recursion depth exceeded" in err
+
+    def test_stats_on_n_frames_2_pow_70(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "r", "text": ["a"], "n_frames": 2**70}) + "\n")
+        out = tmp_path / "stats.json"
+        assert cli(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        stats = json.loads(out.read_text())
+        assert stats["frame_histogram"]["bins"] == {str(2**70): 1}
+        assert stats["frame_histogram"]["total"] == 1

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from signsynth.io import (
     compute_stats,
     load_sign_lexicon,
     pose_set,
+    read_jsonl,
     read_manifest,
     read_pose_file,
     read_raw_landmark_file,
@@ -29,6 +32,7 @@ from signsynth.io import (
 from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
 
 from .conftest import random_raw_frame
+from .oracles import ReferenceDataError, read_jsonl_reference
 
 
 def random_sequence(rng, n=None, source_id="seq"):
@@ -421,6 +425,18 @@ class TestStagedDir:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
+    def test_error_removes_the_empty_parents_it_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(RuntimeError):
+            with staged_dir(out):
+                raise RuntimeError("ingest failed")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(RuntimeError):
+            with staged_dir(out):
+                (tmp_path / "a" / "keep.txt").write_text("k")
+                raise RuntimeError("ingest failed")
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["keep.txt"]
+
 
 class TestPoseSet:
     def test_publishes_set_under_returned_paths(self, rng, tmp_path):
@@ -454,3 +470,108 @@ class TestCheckFileStem:
     @pytest.mark.parametrize("name", ["s0", "t01-s000001", "...", ".hidden", "x" * 200, "\u00e9" * 100])
     def test_accepts(self, name):
         check_file_stem(name)
+
+
+# --- read_jsonl against the stdlib-only reference -------------------------------
+
+_INT_EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, -(2**64)]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(float),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from(_INT_EDGES),
+    st.text(max_size=6),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_OBJECT_LINES = st.builds(
+    lambda obj, ascii: json.dumps(obj, ensure_ascii=ascii).encode("utf-8"),
+    st.dictionaries(st.text(max_size=4), _VALUES, max_size=5),
+    st.booleans(),
+)
+_NUMBER_LINES = st.from_regex(
+    rb"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+).map(lambda token: b'{"n": [' + token + b"]}")
+
+
+def _nested(depth: int, bracket: str) -> bytes:
+    if bracket == "[":
+        return b'{"a": ' + b"[" * depth + b"]" * depth + b"}"
+    return b'{"a": ' * depth + b"1" + b"}" * depth
+
+
+# Lines that orjson rejects, reads differently, or reads as a non-object.
+# Nesting depths stay clear of the interpreter's recursion limit, where the
+# stdlib's own result depends on the depth of the calling stack.
+_HOSTILE_LINES = st.sampled_from([
+    b"", b"   ", b"\x0b", b'\x0b{"a": 1}\x0b', b'\t{"a": 1} ', b'{"a": 1}\xc2\xa0',
+    b'{"a": NaN}', b'{"a": [Infinity, -Infinity]}', b'{"a": 1e400}',
+    b'{"a": "\\ud800"}', b'{"a": "x\\udc00"}',
+    b"\xff", b'{"a": "\xc3("}', b'{"a": "\xed\xa0\x80"}', b'\xef\xbb\xbf{"a": 1}',
+    b"[1]", b'"s"', b"3", b"null", b"123456789012345678901234567890",
+    b'{"n": 123456789012345678901234567890}', b'{"n": [-9223372036854775809]}',
+    b'{"n":18446744073709551616}', b'{"a": 1} x', b'{"a": 01}', b"{", b'{"a": "\x01"}',
+]) | st.builds(_nested, st.sampled_from([700, 766, 767, 768, 5000]), st.sampled_from("[{"))
+
+
+def _tokens(value) -> list:
+    """``value`` flattened in pre-order, with each float as its bits and each
+    scalar tagged with its type, so that equal token lists agree bit for bit
+    and type for type.  Iterative, since values nest up to 768 deep."""
+    tokens, stack = [], [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            tokens.append(("dict", tuple(v)))
+            stack.extend(reversed(list(v.values())))
+        elif isinstance(v, list):
+            tokens.append(("list", len(v)))
+            stack.extend(reversed(v))
+        elif isinstance(v, float):
+            tokens.append(("float", struct.pack("<d", v)))
+        else:
+            tokens.append((type(v).__name__, v))
+    return tokens
+
+
+def _outcome(reader, path, error):
+    rows = []
+    try:
+        for lineno, value in reader(path, lambda obj: obj):
+            rows.append((lineno, _tokens(value)))
+    except error as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+class TestReadJsonl:
+    @given(
+        st.lists(_OBJECT_LINES | _NUMBER_LINES | _HOSTILE_LINES, min_size=1, max_size=6),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib_reference(self, lines, newline, last_newline):
+        data = newline.join(lines) + (newline if last_newline else b"")
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "x.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            got = _outcome(read_jsonl, path, DataError)
+            assert got == _outcome(read_jsonl_reference, path, ReferenceDataError)
+
+    def test_raw_frames_skip_the_stdlib_parser(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "w.jsonl"
+        frames = [random_raw_frame(rng) for _ in range(3)]
+        write_raw_landmark_file(path, frames)
+
+        def refuse(line):
+            raise AssertionError("json.loads called on a raw frame line")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        again = read_raw_landmark_file(path)
+        assert again.tobytes() == np.stack([f.stacked() for f in frames]).astype(np.float32).tobytes()
