@@ -30,42 +30,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Every setting a --config file may give, with the type its value is read
+# as.  Each is also a flag of one subcommand; the flag wins over the file.
+SETTINGS: dict[str, type] = {
+    "min_rate": float, "max_len": int, "fraction": float, "group": int, "min_freq": int,
+    "threshold": float, "crossfade_frames": int, "target_mean_frames": float,
+    "max_real_fraction": float, "ramp_steps": int, "vocab_size": int,
+}
+
+
+def _config_line(line: str) -> tuple[str, str] | None:
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ValueError("expected 'key = value'")
+    key, value = (part.strip() for part in line.split("=", 1))
+    if key not in SETTINGS:
+        raise ValueError(f"unknown setting {key!r}")
+    SETTINGS[key](value)  # a bad value is an error here, where it has a line
+    return key, value
+
+
 def load_config(path) -> dict[str, str]:
-    """Flat 'key = value' lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise io.DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+    """Flat 'key = value' lines naming SETTINGS; '#' starts a comment."""
+    return dict(item for _, item in io.read_lines(path, _config_line))
 
 
-def _setting(args, config: dict[str, str], name: str, cast, default):
+def _setting(args, config: dict[str, str], name: str, default=None):
     """Precedence: explicit flag > config file > default."""
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name])
+        return SETTINGS[name](config[name])
     return default
 
 
-def _settings(args, config: dict[str, str], **casts) -> dict:
+def _settings(args, config: dict[str, str], *names: str) -> dict:
     """The named settings given by flag or config file; unset ones are left
     out, so the library's own defaults apply."""
-    values = {name: _setting(args, config, name, cast, None) for name, cast in casts.items()}
-    return {name: value for name, value in values.items() if value is not None}
-
-
-def _read_corpus(path, as_text: bool):
-    if as_text:
-        return io.read_text_corpus(path)
-    return io.read_manifest(path)
+    return {name: value for name in names if (value := _setting(args, config, name)) is not None}
 
 
 def _cmd_gen(args, config) -> int:
@@ -87,8 +92,8 @@ def _cmd_gen(args, config) -> int:
 
 def _cmd_filter(args, config) -> int:
     vocab = io.read_word_list(args.vocab)
-    sentences = _read_corpus(args.input, args.text)
-    min_rate = _setting(args, config, "min_rate", float, 0.9)
+    sentences = (io.read_text_corpus if args.text else io.read_manifest)(args.input)
+    min_rate = _setting(args, config, "min_rate", 0.9)
     kept = list(corpus.filter_corpus(sentences, vocab, min_rate))
     io.write_manifest(args.out, kept)
     print(f"filter: kept {len(kept)}/{len(sentences)} sentences (match rate > {min_rate})")
@@ -97,7 +102,7 @@ def _cmd_filter(args, config) -> int:
 
 def _cmd_merge(args, config) -> int:
     sentences = io.read_manifest(args.input)
-    policy = corpus.MergePolicy(**_settings(args, config, max_len=int, fraction=float, group=int))
+    policy = corpus.MergePolicy(**_settings(args, config, "max_len", "fraction", "group"))
     merged = corpus.merge_short(sentences, policy, seed=args.seed)
     io.write_manifest(args.out, merged)
     stats = corpus.length_stats(merged)
@@ -114,7 +119,7 @@ def _cmd_postprocess(args, config) -> int:
     extra = []
     for path in args.count_extra or []:
         extra.extend(io.read_manifest(path))
-    min_freq = _setting(args, config, "min_freq", int, 3)
+    min_freq = _setting(args, config, "min_freq", 3)
     out = corpus.replace_rare_and_names(sentences, names, min_freq, extra_counts=extra)
     io.write_manifest(args.out, out)
     n_person = sum(tok == corpus.PERSON_TOKEN for r in out for tok in r.text)
@@ -125,7 +130,7 @@ def _cmd_postprocess(args, config) -> int:
 
 def _cmd_ingest(args, config) -> int:
     raw_dir = Path(args.raw_dir)
-    threshold = _setting(args, config, "threshold", float, 0.8)
+    threshold = _setting(args, config, "threshold", 0.8)
     selection = default_selection()
     paths = io.files_by_word(raw_dir, ".jsonl")
     if not paths:
@@ -149,8 +154,6 @@ def _cmd_ingest(args, config) -> int:
 
 def _cmd_stitch(args, config) -> int:
     records = io.read_manifest(args.manifest)
-    for record in records:  # ids become file names; check all before writing any
-        io.check_file_stem(record.id)
     lex = io.load_sign_lexicon(args.lexicon_dir)
     jitter = {}
     if args.jitter:
@@ -159,9 +162,9 @@ def _cmd_stitch(args, config) -> int:
         word_order=args.word_order,
         seed=args.seed,
         **jitter,
-        **_settings(args, config, crossfade_frames=int),
+        **_settings(args, config, "crossfade_frames"),
     )
-    target_mean = _setting(args, config, "target_mean_frames", float, None)
+    target_mean = _setting(args, config, "target_mean_frames")
     if target_mean is None:
         raise UsageError("--target-mean is required (or target_mean_frames in --config)")
 
@@ -185,7 +188,7 @@ def _cmd_stitch(args, config) -> int:
 
 def _cmd_sample(args, config) -> int:
     sched = curriculum.AnnealSchedule(
-        **_settings(args, config, max_real_fraction=float, ramp_steps=int)
+        **_settings(args, config, "max_real_fraction", "ramp_steps")
     )
     curriculum.write_schedule_csv(
         args.out, args.total_steps, sched, args.seed, args.real_size, args.synth_size
@@ -199,7 +202,7 @@ def _cmd_tokenize(args, config) -> int:
         sentences = [r.text for r in io.read_manifest(args.input)]
         for path in args.extra or []:
             sentences.extend(r.text for r in io.read_manifest(path))
-        vocab_size = _setting(args, config, "vocab_size", int, 15_000)
+        vocab_size = _setting(args, config, "vocab_size", 15_000)
         model = bpe.bpe_train(sentences, vocab_size)
         bpe.save_model(args.model, model)
         print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
@@ -264,15 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; every stage runs in one thread")
     parser.add_argument("--skip-oov", action="store_true",
-                        help="drop out-of-lexicon tokens instead of failing")
+                        help="stitch a sentence without its out-of-lexicon tokens; by "
+                             "default such a sentence is skipped and counted")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="expand templates into a sentence manifest")
     p.add_argument("--templates", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--limit", type=int, default=None, help="cap expansions per template")
-    p.add_argument("--sample", type=int, default=None,
-                   help="sample this many sentences per template instead of enumerating")
+    count = p.add_mutually_exclusive_group()
+    count.add_argument("--limit", type=int, default=None, help="cap expansions per template")
+    count.add_argument("--sample", type=int, default=None,
+                       help="sample this many sentences per template instead of enumerating")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -355,12 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
     except SystemExit as exc:
@@ -368,10 +369,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"signsynth: error: {exc}", file=sys.stderr)
         return 1
-    except (io.DataError, templates.TemplateParseError) as exc:
-        print(f"signsynth: data error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # io.DataError is a ValueError
         print(f"signsynth: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,12 @@ through ``atomic_open`` (temp file in the target directory, then rename); a
 set of pose files is written through ``pose_set`` and published as one
 directory.  Every read/write pair round-trips exactly.
 
-JSON lines are parsed with ``orjson``.  A line that orjson would read
-differently from the stdlib ``json`` module (an integer beyond 64 bits, deep
-nesting), that it rejects, or that is not an object is read by ``json``
-instead, so the accepted inputs, the values and the error messages are those
-of ``json``.
+Every line-based input is read by ``read_lines``: one strict UTF-8 decode
+per line, ``\\n`` line ends, and errors that cite ``path:line``.  JSON lines
+are parsed with ``orjson``.  A line that orjson would read differently from
+the stdlib ``json`` module (an integer beyond 64 bits, deep nesting), that it
+rejects, or that is not an object is read by ``json`` instead, so the
+accepted inputs, the values and the error messages are those of ``json``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ MAX_FILE_STEM_BYTES = 200
 T = TypeVar("T")
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Malformed or inconsistent data in a file; maps to CLI exit code 2."""
 
 
@@ -119,55 +120,66 @@ _LONG_INT = (b"," + b"0" * 19, b"[" + b"0" * 19)
 _ORJSON_MAX_BRACKETS = 768
 
 
-def _orjson_object(raw: bytes) -> dict | None:
-    """``orjson.loads(raw)`` when that is an object that json would read the
+def _orjson_object(line: str) -> dict | None:
+    """``orjson.loads(line)`` when that is an object that json would read the
     same; otherwise None."""
-    guard = raw.translate(_ORJSON_GUARD)
+    guard = line.encode("utf-8").translate(_ORJSON_GUARD)
     if guard.count(b"[") >= _ORJSON_MAX_BRACKETS or any(run in guard for run in _LONG_INT):
         return None
     try:
-        obj = orjson.loads(raw)
+        obj = orjson.loads(line)
     except orjson.JSONDecodeError:
         return None
     return obj if type(obj) is dict else None
 
 
-def _json_object(path, lineno: int, raw: bytes) -> dict | None:
+def _json_object(line: str) -> dict | None:
     """The stdlib reading of one line: its JSON object, or None if blank."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+    line = line.strip()
     if not line:
         return None
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
-def read_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield ``(lineno, parse(obj))`` for each non-blank line's JSON object.
-    Invalid UTF-8, invalid JSON, a non-object line, or a KeyError, TypeError
-    or ValueError from ``parse`` raises DataError citing ``path:lineno``.
-    Lines are parsed as ``json.loads`` parses them (see the module notes)."""
+def read_lines(path, parse: Callable[[str], T | None]) -> Iterator[tuple[int, T]]:
+    """Yield ``(lineno, parse(line))`` for each line of a UTF-8 text file,
+    skipping lines for which ``parse`` returns None.  A line ends at ``\\n``
+    and loses one trailing ``\\r``.  Invalid UTF-8, or a KeyError, TypeError
+    or ValueError from ``parse``, raises DataError citing ``path:lineno``."""
     with open(path, "rb") as fh:  # decoded per line, so a bad byte has a line
         for lineno, raw in enumerate(fh, start=1):
-            obj = _orjson_object(raw)
-            if obj is None:
-                obj = _json_object(path, lineno, raw)
-                if obj is None:
-                    continue
             try:
-                value = parse(obj)
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+            try:
+                value = parse(line.removesuffix("\n").removesuffix("\r"))
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            yield lineno, value
+            if value is not None:
+                yield lineno, value
+
+
+def read_jsonl(path, parse: Callable[[dict], T | None]) -> Iterator[tuple[int, T]]:
+    """``read_lines`` over JSON lines: ``parse`` gets each non-blank line's
+    JSON object.  Invalid JSON or a non-object line is a DataError too.
+    Lines are parsed as ``json.loads`` parses them (see the module notes)."""
+
+    def json_line(line: str) -> T | None:
+        obj = _orjson_object(line)
+        if obj is None:
+            obj = _json_object(line)
+        return None if obj is None else parse(obj)
+
+    return read_lines(path, json_line)
 
 
 def check_file_stem(name: str) -> None:
@@ -206,11 +218,14 @@ def write_pose_file(path, seq: PoseSequence) -> None:
 def pose_set(out_dir) -> Iterator[Callable[[str, PoseSequence], str]]:
     """Yield ``write(stem, seq)``, which creates ``<stem>.psp`` in a
     ``staged_dir`` stage and returns its published path in ``out_dir``.  The
-    block's files reach ``out_dir`` as a set: all of them, or on error none."""
+    block's files reach ``out_dir`` as a set: all of them, or on error none.
+    A stem that ``check_file_stem`` rejects is a DataError before any file
+    is opened."""
     out_dir = Path(out_dir)
     with staged_dir(out_dir) as stage:
 
         def write(stem: str, seq: PoseSequence) -> str:
+            check_file_stem(stem)
             # Fresh names in a private stage: a plain exclusive create is
             # enough, since the stage is published as a whole.
             name = f"{stem}{POSE_FILE_SUFFIX}"
@@ -308,10 +323,9 @@ def record_to_json(record: SentenceRecord) -> dict:
         "phenomenon": record.phenomenon,
         "word_order": record.word_order,
     }
-    if record.pose_path is not None:
+    if record.pose_path is not None:  # and so n_frames too
         obj["pose_path"] = record.pose_path
-        obj["n_frames"] = record.n_frames
-    elif record.n_frames is not None:
+    if record.n_frames is not None:
         obj["n_frames"] = record.n_frames
     return obj
 
@@ -363,19 +377,15 @@ def read_manifest(path) -> list[SentenceRecord]:
 
 def read_text_corpus(path, id_prefix: str = "line") -> list[SentenceRecord]:
     """Plain text, one whitespace-tokenized sentence per line; blank lines skipped."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if tokens:
-                records.append(SentenceRecord(id=f"{id_prefix}{lineno:06d}", text=tuple(tokens)))
-    return records
+    return [
+        SentenceRecord(id=f"{id_prefix}{lineno:06d}", text=tuple(tokens))
+        for lineno, tokens in read_lines(path, lambda line: line.split() or None)
+    ]
 
 
 def read_word_list(path) -> set[str]:
     """One word per line, stripped and case-folded; blank lines skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return {word for line in fh if (word := line.strip().lower())}
+    return {word for _, word in read_lines(path, lambda line: line.strip().lower() or None)}
 
 
 def _histogram_json(hist: LengthHistogram) -> dict:

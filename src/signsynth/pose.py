@@ -182,8 +182,10 @@ class SentenceRecord:
             raise ValueError(f"record {self.id!r}: text must be non-empty")
         if self.word_order not in WORD_ORDERS:
             raise ValueError(f"record {self.id!r}: word_order must be one of {WORD_ORDERS}")
-        if self.pose_path is not None and (self.n_frames is None or self.n_frames <= 0):
-            raise ValueError(f"record {self.id!r}: pose_path set but n_frames missing or <= 0")
+        if self.n_frames is not None and self.n_frames < 1:
+            raise ValueError(f"record {self.id!r}: n_frames must be at least 1")
+        if self.pose_path is not None and self.n_frames is None:
+            raise ValueError(f"record {self.id!r}: pose_path set but n_frames missing")
 
     def with_pose(self, pose_path: str, n_frames: int) -> "SentenceRecord":
         return replace(self, pose_path=pose_path, n_frames=n_frames)

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .io import atomic_open, read_jsonl
+from .io import atomic_open, read_jsonl, read_lines
 from .pose import SentenceRecord
 from .seeds import derive_seed
 
@@ -259,19 +259,18 @@ def sample_expansions(
 # category, word, features, pose_source.
 
 
+def _template_line(line: str) -> Template | None:
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError("expected 'id<TAB>phenomenon<TAB>dsl'")
+    template_id, phenomenon, dsl = parts
+    return parse_template(dsl, template_id=template_id, phenomenon=phenomenon)
+
+
 def load_templates(path) -> list[Template]:
-    templates = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'id<TAB>phenomenon<TAB>dsl'")
-            template_id, phenomenon, dsl = parts
-            templates.append(parse_template(dsl, template_id=template_id, phenomenon=phenomenon))
-    return templates
+    return [template for _, template in read_lines(path, _template_line)]
 
 
 def save_templates(path, templates: Sequence[Template]) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signsynth import io
+from signsynth import bpe, io
 from signsynth.cli import cli, load_config
 from signsynth.io import (
     read_manifest,
@@ -570,3 +570,135 @@ class TestHostileJsonLines:
         stats = json.loads(out.read_text())
         assert stats["frame_histogram"]["bins"] == {str(2**70): 1}
         assert stats["frame_histogram"]["total"] == 1
+
+
+class TestLineInputs:
+    """The text inputs go through the same line reader as JSON lines, so a
+    bad line is a data error (exit 2) that cites ``path:line``."""
+
+    def argv(self, kind: str, path: Path, tmp_path: Path) -> list[str]:
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("boy can see\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("boy\n")
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="a", text=("boy", "can", "see"))])
+        out = str(tmp_path / "out.jsonl")
+        return {
+            "corpus": ["filter", "--in", str(path), "--text", "--vocab", str(vocab), "--out", out],
+            "vocab": ["filter", "--in", str(corpus), "--text", "--vocab", str(path), "--out", out],
+            "names": ["postprocess", "--in", str(manifest), "--names", str(path), "--out", out],
+            "templates": ["gen", "--templates", str(path),
+                          "--lexicon", data_path("toy_slot_lexicon.jsonl"), "--out", out],
+            "config": ["--config", str(path), "stats", "--manifest", str(manifest), "--out", out],
+        }[kind]
+
+    FIRST_LINE = {
+        "corpus": b"boy can see",
+        "vocab": b"boy",
+        "names": b"john",
+        "templates": b"t1\tcustom\tSubj[] V[]",
+        "config": b"min_freq = 3",
+    }
+
+    def run(self, tmp_path, capsys, kind: str, second: bytes, code: int = 2) -> str:
+        path = tmp_path / "input.txt"
+        path.write_bytes(self.FIRST_LINE[kind] + b"\n" + second + b"\n")
+        assert cli(self.argv(kind, path, tmp_path)) == code
+        assert not (tmp_path / "out.jsonl").exists()
+        return capsys.readouterr().err.replace(str(path), "PATH")
+
+    @pytest.mark.parametrize("kind", ["corpus", "vocab", "names", "templates", "config"])
+    def test_invalid_utf8_cites_line(self, tmp_path, capsys, kind):
+        err = self.run(tmp_path, capsys, kind, b"ok \xff\xfe")
+        assert "PATH:2: invalid UTF-8" in err
+
+    def test_malformed_template_cites_line(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "templates", b"t2\tcustom\tSubj[ V[]")
+        assert "PATH:2: malformed slot 'Subj['" in err
+
+    def test_unknown_config_setting_cites_line(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "config", b"vocab_sise = 20")
+        assert "PATH:2: unknown setting 'vocab_sise'" in err
+
+    def test_bad_config_value_cites_line(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "config", b"vocab_size = many")
+        assert "PATH:2: invalid literal for int()" in err
+
+
+class TestConfigSettings:
+    """Precedence of each setting: explicit flag > config file > default."""
+
+    def postprocess_unknowns(self, tmp_path, config: str | None, *flags: str) -> int:
+        manifest = tmp_path / "m.jsonl"
+        # Frequencies: a 3, b 2, c 1.
+        write_manifest(manifest, [
+            SentenceRecord(id="r1", text=("a", "a", "b")),
+            SentenceRecord(id="r2", text=("a", "b", "c")),
+        ])
+        argv = []
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "post.jsonl"
+        assert cli([*argv, "postprocess", "--in", str(manifest), *flags, "--out", str(out)]) == 0
+        return sum(tok == "<UNKNOWN>" for r in read_manifest(out) for tok in r.text)
+
+    @pytest.mark.parametrize(
+        "config, flags, unknowns",
+        [
+            (None, (), 3),                          # default min_freq 3: b and c
+            ("min_freq = 2\n", (), 1),              # config: c only
+            ("min_freq = 2\n", ("--min-freq", "4"), 6),  # flag: a, b and c
+        ],
+    )
+    def test_min_freq(self, tmp_path, config, flags, unknowns):
+        assert self.postprocess_unknowns(tmp_path, config, *flags) == unknowns
+
+    def train_merges(self, tmp_path, config: str | None, *flags: str) -> tuple[int, int]:
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [
+            SentenceRecord(id="a", text=("the", "cat", "sat")),
+            SentenceRecord(id="b", text=("the", "cat", "ran")),
+        ])
+        argv = []
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        model_path = tmp_path / "model.json"
+        assert cli([
+            *argv, "tokenize", "train", "--in", str(manifest), "--model", str(model_path), *flags,
+        ]) == 0
+        model = bpe.load_model(model_path)
+        return len(model.vocab) - len(model.merges), len(model.merges)
+
+    def test_vocab_size(self, tmp_path):
+        base, default_merges = self.train_merges(tmp_path, None)
+        assert default_merges > 2  # the 15,000 default leaves every merge in
+        assert self.train_merges(tmp_path, f"vocab_size = {base + 1}\n") == (base, 1)
+        assert self.train_merges(
+            tmp_path, f"vocab_size = {base + 1}\n", "--vocab-size", str(base + 2)
+        ) == (base, 2)
+
+
+class TestSmallerFixes:
+    def test_gen_limit_and_sample_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        assert cli([
+            "gen", "--templates", data_path("toy_templates.tsv"),
+            "--lexicon", data_path("toy_slot_lexicon.jsonl"),
+            "--limit", "1", "--sample", "3", "--out", str(out),
+        ]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stats_rejects_n_frames_below_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"id": f"r{n}", "text": ["a"], "n_frames": n}) + "\n" for n in (-5, 0)
+        ))
+        out = tmp_path / "stats.json"
+        assert cli(["stats", "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.replace(str(manifest), "PATH")
+        assert "PATH:1: record 'r-5': n_frames must be at least 1" in err
+        assert not out.exists()

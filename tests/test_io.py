@@ -19,6 +19,7 @@ from signsynth.io import (
     load_sign_lexicon,
     pose_set,
     read_jsonl,
+    read_lines,
     read_manifest,
     read_pose_file,
     read_raw_landmark_file,
@@ -457,6 +458,57 @@ class TestPoseSet:
                 write("a", random_sequence(rng))
                 raise RuntimeError("ingest failed")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stem", ["../x", "x" * 300])
+    def test_unsafe_stem_writes_nothing(self, rng, tmp_path, stem):
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match="cannot be used as a file name"):
+            with pose_set(out) as write:
+                write("a", random_sequence(rng))
+                write(stem, random_sequence(rng))
+        assert not list(tmp_path.iterdir())
+
+
+class TestReadLines:
+    def test_line_ends_and_skipped_lines(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"a\r\n\nb\rc\r\r\nd")
+        rows = list(read_lines(path, lambda line: line or None))
+        assert rows == [(1, "a"), (3, "b\rc\r"), (4, "d")]
+
+    def test_lone_cr_does_not_end_a_corpus_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"the cat\rsat\r\nthe dog\n")
+        records = read_text_corpus(path)
+        assert [r.text for r in records] == [("the", "cat", "sat"), ("the", "dog")]
+        assert [r.id for r in records] == ["line000001", "line000002"]
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(KeyError("k"), "missing key 'k'"), (TypeError("bad type"), "bad type"),
+         (ValueError("bad value"), "bad value")],
+    )
+    def test_parse_error_cites_line(self, tmp_path, error, message):
+        path = tmp_path / "x.txt"
+        path.write_text("ok\nbad\n")
+
+        def parse(line):
+            if line == "bad":
+                raise error
+            return line
+
+        with pytest.raises(DataError) as exc:
+            list(read_lines(path, parse))
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_invalid_utf8_cites_line(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"ok\n\xffok\n")
+        with pytest.raises(DataError, match=":2: invalid UTF-8: .* position 0"):
+            list(read_lines(path, str))
+
+    def test_data_error_is_a_value_error(self):
+        assert issubclass(DataError, ValueError)
 
 
 class TestCheckFileStem:
