@@ -67,6 +67,19 @@ def _setting(args, config: dict[str, str], name: str, default=None):
     return default
 
 
+def _count(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+    return parse
+
+
 def _settings(args, config: dict[str, str], *names: str) -> dict:
     """The named settings given by flag or config file; unset ones are left
     out, so the library's own defaults apply."""
@@ -76,6 +89,13 @@ def _settings(args, config: dict[str, str], *names: str) -> dict:
 def _cmd_gen(args, config) -> int:
     pack = templates.load_templates(args.templates)
     lex = templates.load_slot_lexicon(args.lexicon)
+    for template in pack:
+        for slot in template.slots:
+            if slot.category not in lex.entries:
+                raise io.DataError(
+                    f"{args.templates}: template {template.id!r}: "
+                    f"unknown slot category {slot.category!r}"
+                )
     records = []
     for template in pack:
         if args.sample is not None:
@@ -275,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", required=True)
     p.add_argument("--lexicon", required=True)
     count = p.add_mutually_exclusive_group()
-    count.add_argument("--limit", type=int, default=None, help="cap expansions per template")
-    count.add_argument("--sample", type=int, default=None,
+    count.add_argument("--limit", type=_count(0), default=None,
+                       help="cap expansions per template")
+    count.add_argument("--sample", type=_count(0), default=None,
                        help="sample this many sentences per template instead of enumerating")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
@@ -325,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stitch)
 
     p = sub.add_parser("sample", help="export curriculum mixture schedule CSV")
-    p.add_argument("--total-steps", dest="total_steps", type=int, required=True)
-    p.add_argument("--real-size", dest="real_size", type=int, required=True)
-    p.add_argument("--synth-size", dest="synth_size", type=int, required=True)
+    p.add_argument("--total-steps", dest="total_steps", type=_count(0), required=True)
+    p.add_argument("--real-size", dest="real_size", type=_count(1), required=True)
+    p.add_argument("--synth-size", dest="synth_size", type=_count(1), required=True)
     p.add_argument("--max-real", dest="max_real_fraction", type=float, default=None)
     p.add_argument("--ramp", dest="ramp_steps", type=int, default=None)
     p.add_argument("--out", required=True)

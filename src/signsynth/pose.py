@@ -69,16 +69,31 @@ def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
+def _number(value) -> Optional[float]:
+    """A float, or an int as the float it rounds to (±inf beyond float64);
+    None for anything else."""
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return np.inf if value > 0 else -np.inf
+    return value if type(value) is float else None
+
+
 def landmark_group(values, size: int, name: str) -> np.ndarray:
     """``size`` points of 3 finite numbers (x, y, confidence), confidences in
-    [0, 1], as a read-only (size, 3) float32 array; else ValueError."""
+    [0, 1], as a read-only (size, 3) float32 array; else ValueError.  An
+    integer is judged by its value, as the same number written as a float."""
     try:
         arr = np.array(values)
     except ValueError:  # ragged nesting
         arr = np.array(None)
+    if arr.dtype == object:  # holds an int wider than 64 bits, or not numbers
+        arr = np.array([_number(v) for v in arr.flat]).reshape(arr.shape)
     if arr.shape != (size, 3) or arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: expected {size} points of 3 numbers [x, y, c]")
-    arr = arr.astype(np.float32)
+    with np.errstate(over="ignore"):  # beyond float32 becomes inf, rejected below
+        arr = arr.astype(np.float32)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains non-finite values")
     if arr[:, 2].min() < 0.0 or arr[:, 2].max() > 1.0:

@@ -31,13 +31,9 @@ class SignLexicon:
     """word (case-folded) -> processed word-level pose clip."""
 
     clips: Mapping[str, PoseSequence] = field(default_factory=dict)
-    # (word, stride) -> resampled frames, filled on first use; at most three
-    # strides occur per clip in one stitch run.
-    _resampled: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clips", {w.lower(): seq for w, seq in self.clips.items()})
-        object.__setattr__(self, "_resampled", {})
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.clips
@@ -50,14 +46,6 @@ class SignLexicon:
             return self.clips[word.lower()]
         except KeyError:
             raise KeyError(f"word not in sign lexicon: {word!r}") from None
-
-    def resampled(self, word: str, stride: int) -> np.ndarray:
-        """Frames of ``resample(self.clip(word), stride)``, computed once."""
-        key = (word.lower(), stride)
-        frames = self._resampled.get(key)
-        if frames is None:
-            frames = self._resampled[key] = resample(self.clip(word), stride).frames
-        return frames
 
     def words(self) -> set[str]:
         return set(self.clips)
@@ -94,10 +82,11 @@ class StitchResult:
 def compute_sampling_rate(mean_synth_frames: float, mean_target_frames: float) -> int:
     """Stride that matches the synthetic mean frame count to the target's.
 
-    round-half-to-even on the ratio, floored at 1.
+    round-half-to-even on the ratio, floored at 1; both means must be finite
+    and positive.
     """
-    if mean_synth_frames <= 0 or mean_target_frames <= 0:
-        raise ValueError("mean frame counts must be positive")
+    if not (0 < mean_synth_frames < np.inf and 0 < mean_target_frames < np.inf):
+        raise ValueError("mean frame counts must be finite and positive")
     return max(1, round(mean_synth_frames / mean_target_frames))
 
 
@@ -155,7 +144,7 @@ def stitch_sentence(
     if cfg.word_order == "rwo":
         rng.shuffle(order)  # Fisher-Yates
 
-    clips = [lex.resampled(word, stride) for word in order]
+    clips = [lex.clip(word).frames[::stride] for word in order]  # views, no copies
     n_fade = cfg.crossfade_frames if len(clips) > 1 else 0
     if n_fade:
         fades = _crossfade(
@@ -204,21 +193,20 @@ def stitch_dataset(
     count (sum of resolvable word-clip lengths) against target_mean_frames,
     overriding cfg.base_stride.  Records with no stitchable words are skipped
     and counted.  Records are stitched in input order and each sequence is
-    passed to ``write_pose`` as soon as it is made, then dropped; only the
-    output records are kept.  ``write_pose`` persists a sequence and returns
-    its path; output records then carry pose_path and n_frames.
+    passed to ``write_pose(input_record, sequence)`` as soon as it is made,
+    then dropped; only the output records are kept.  ``write_pose`` persists
+    a sequence and returns its path; output records carry it and n_frames.
     """
     pre_lengths = []
-    stitchable: list[SentenceRecord] = []
+    stitchable: list[tuple[SentenceRecord, list[str]]] = []
     skipped = 0
     for record in records:
-        lengths = [len(lex.clip(w)) for w in record.text if w in lex]
-        oov = len(lengths) < len(record.text)
-        if not lengths or (oov and not skip_oov):
+        words = [w for w in record.text if w in lex]
+        if not words or (len(words) < len(record.text) and not skip_oov):
             skipped += 1
             continue
-        pre_lengths.append(sum(lengths))
-        stitchable.append(record)
+        pre_lengths.append(sum(len(lex.clip(w)) for w in words))
+        stitchable.append((record, words))
     if not stitchable:
         raise ValueError("no stitchable records")
 
@@ -227,15 +215,12 @@ def stitch_dataset(
     run_cfg = replace(cfg, base_stride=base_stride)
 
     out_records = []
-    for record in stitchable:  # input order, one sequence alive at a time
-        sequence = stitch_sentence(
-            record.text, lex, run_cfg, sentence_id=record.id, skip_oov=skip_oov
-        ).sequence
-        record = replace(record, word_order=run_cfg.word_order)
-        if write_pose is not None:
-            record = record.with_pose(write_pose(record, sequence), len(sequence))
-        else:
-            record = replace(record, pose_path=None, n_frames=len(sequence))
+    for record, words in stitchable:  # input order, one sequence alive at a time
+        sequence = stitch_sentence(words, lex, run_cfg, sentence_id=record.id).sequence
+        pose_path = None if write_pose is None else write_pose(record, sequence)
+        record = replace(
+            record, word_order=run_cfg.word_order, pose_path=pose_path, n_frames=len(sequence)
+        )
         out_records.append(record)
 
     histogram = LengthHistogram.from_lengths(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -251,6 +252,29 @@ class TestStitchOutputDir:
         assert self.stitch(tmp_path, records) == 2
         assert "../escaped" in capsys.readouterr().err
         assert not (tmp_path / "escaped.psp").exists()
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize("flag, config", [
+        ("nan", None), ("inf", None), (None, "inf"), (None, "nan"),
+    ])
+    def test_non_finite_target_mean_exits_2(self, tmp_path, capsys, flag, config):
+        lex_dir = build_lexicon_dir(tmp_path)
+        manifest = tmp_path / "sentences.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="s", text=("boy", "can", "see"))])
+        argv = []
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(f"target_mean_frames = {config}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        argv += [
+            "stitch", "--manifest", str(manifest), "--lexicon-dir", str(lex_dir),
+            "--out-dir", str(tmp_path / "out"), "--out-manifest", str(tmp_path / "out.jsonl"),
+        ]
+        if flag is not None:
+            argv += ["--target-mean", flag]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "signsynth: data error: mean frame counts must be finite and positive\n"
+        )
         self.assert_nothing_written(tmp_path)
 
     def test_failure_part_way_writes_nothing(self, tmp_path, monkeypatch):
@@ -550,11 +574,40 @@ class TestHostileJsonLines:
         assert "PATH:2: body: contains non-finite values" in err
 
     def test_30_digit_integer_coordinate(self, tmp_path, capsys, rng):
-        obj = self.frame_obj(rng)
-        obj["body"][0][0] = 123456789012345678901234567890
-        code, err = self.ingest_second_line(tmp_path, capsys, rng, json.dumps(obj))
-        assert code == 2
-        assert "PATH:2: body: expected 33 points of 3 numbers [x, y, c]" in err
+        # An integer is judged by its value, as the same number written as a
+        # float: beyond float32 it is non-finite, else it is a coordinate.
+        cases = [
+            ("123456789012345678901234567890", True),
+            (str(10**29), True),
+            ("1e29", True),
+            (str(2**64), True),
+            (str(-(2**63) - 1), True),
+            (str(10**39), False),
+            ("1e39", False),
+            (str(10**400), False),
+            (str(-(10**400)), False),
+            ("1e400", False),
+        ]
+        for i, (number, accepted) in enumerate(cases):
+            obj = self.frame_obj(rng)
+            obj["body"][0][0] = "NUMBER"
+            raw_dir = tmp_path / f"raw{i}"
+            raw_dir.mkdir()
+            path = raw_dir / "word.jsonl"
+            path.write_text(json.dumps(obj).replace('"NUMBER"', number) + "\n")
+            out_dir = tmp_path / f"lex{i}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy overflow warning either
+                code = cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(out_dir)])
+            err = capsys.readouterr().err.replace(str(path), "PATH")
+            if accepted:
+                assert (code, err) == (0, ""), number
+                body_x = read_pose_file(out_dir / "word.psp").frames[0, 0]
+                assert body_x == np.float32(float(number)), number
+            else:
+                assert code == 2, number
+                assert err == "signsynth: data error: PATH:1: body: contains non-finite values\n"
+                assert not out_dir.exists(), number
 
     def test_extra_key_nested_5000_deep(self, tmp_path, capsys, rng):
         line = json.dumps(self.frame_obj(rng))[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}"
@@ -690,6 +743,38 @@ class TestSmallerFixes:
             "--limit", "1", "--sample", "3", "--out", str(out),
         ]) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_unknown_slot_category_names_template(self, tmp_path, capsys):
+        templates = tmp_path / "templates.tsv"
+        templates.write_text("t1\tcustom\tFoo[] V[]\n")
+        lexicon = tmp_path / "slots.jsonl"
+        lexicon.write_text(json.dumps({"category": "V", "word": "see"}) + "\n")
+        out = tmp_path / "m.jsonl"
+        assert cli([
+            "gen", "--templates", str(templates), "--lexicon", str(lexicon), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {templates}: template 't1': unknown slot category 'Foo'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--limit", "-3"],
+        ["gen", "--sample", "-3"],
+        ["sample", "--real-size", "5", "--synth-size", "5", "--total-steps", "-5"],
+        ["sample", "--total-steps", "0", "--synth-size", "5", "--real-size", "0"],
+        ["sample", "--total-steps", "0", "--real-size", "5", "--synth-size", "-1"],
+    ], ids=" ".join)
+    def test_negative_counts_are_usage_errors(self, tmp_path, capsys, argv):
+        # The last flag of each argv holds the bad count.
+        inputs = []
+        if argv[0] == "gen":
+            inputs = ["--templates", data_path("toy_templates.tsv"),
+                      "--lexicon", data_path("toy_slot_lexicon.jsonl")]
+        out = tmp_path / "out"
+        assert cli([*argv, *inputs, "--out", str(out)]) == 1
+        assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stats_rejects_n_frames_below_1(self, tmp_path, capsys):

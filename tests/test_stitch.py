@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signsynth import stitch
 from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
 from signsynth.stitch import (
     SignLexicon,
@@ -54,6 +54,13 @@ class TestSamplingRate:
             compute_sampling_rate(0, 10)
         with pytest.raises(ValueError):
             compute_sampling_rate(10, -1)
+
+    @pytest.mark.parametrize("synth, target", [
+        (10, float("nan")), (float("nan"), 10), (10, float("inf")), (float("inf"), 10),
+    ])
+    def test_rejects_non_finite(self, synth, target):
+        with pytest.raises(ValueError, match="finite and positive"):
+            compute_sampling_rate(synth, target)
 
 
 class TestResample:
@@ -280,21 +287,23 @@ class TestStitchDataset:
         )
         assert len(alive) == len(result.records) == 12
 
-    def test_resamples_each_clip_once_per_stride(self, monkeypatch):
+    def test_one_pose_sequence_per_output_record(self, monkeypatch):
+        # Strided clips are views: the only sequence built per record is the
+        # stitched sentence itself, at every stride.
         lex = make_lexicon({w: 7 + i for i, w in enumerate("abcd")})
-        records = self.make_records([list("abcd"), list("dcb"), ["A", "a"]] * 10)
-        calls = []
-        real_resample = stitch.resample
+        records = self.make_records([list("abcd"), list("dcb"), ["A", "a"], ["zz"]] * 10)
+        built = []
+        real_post_init = PoseSequence.__post_init__
 
-        def counting_resample(seq, stride):
-            calls.append((seq.source_id, stride))
-            return real_resample(seq, stride)
+        def counting_post_init(seq):
+            real_post_init(seq)
+            built.append(seq.source_id)
 
-        monkeypatch.setattr(stitch, "resample", counting_resample)
+        monkeypatch.setattr(PoseSequence, "__post_init__", counting_post_init)
         cfg = StitchConfig(word_order="rwo", jitter_strides=(1, 2, 3), seed=4)
-        stitch_dataset(records, lex, cfg, target_mean_frames=20.0)
-        assert len(calls) == len(set(calls))
-        assert {stride for _, stride in calls} == {1, 2, 3}
+        result = stitch_dataset(records, lex, cfg, target_mean_frames=20.0)
+        assert result.skipped == 10
+        assert built == [record.id for record in result.records]
 
     def test_no_stitchable_records_errors(self):
         lex = make_lexicon({"a": 5})
@@ -309,6 +318,70 @@ class TestStitchDataset:
             records, lex, StitchConfig(crossfade_frames=2), target_mean_frames=12.0
         )
         assert result.records[0].n_frames == 8 + 4 + 2
+
+
+class TestStitchDatasetOracle:
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["a", "B", "cc", "d", "zz", "Yy"]), min_size=1, max_size=5),
+            min_size=1, max_size=8,
+        ),
+        lengths=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+        crossfade=st.integers(0, 3),
+        order=st.sampled_from(["swo", "rwo"]),
+        jitter=st.sets(st.sampled_from([1, 2, 3]), min_size=1),
+        target=st.floats(0.5, 40.0),
+        skip_oov=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_sentence_reference(
+        self, texts, lengths, crossfade, order, jitter, target, skip_oov, seed
+    ):
+        # "zz" and "Yy" are out of vocabulary: with skip_oov they are dropped,
+        # without it their records are skipped, as are records with no
+        # lexicon word at all.
+        rng = np.random.default_rng(seed)
+        clips = {
+            w: (rng.standard_normal((n, FRAME_DIM)) * 10).astype(np.float32)
+            for w, n in zip(["a", "b", "cc", "d"], lengths)
+        }
+        lex = SignLexicon(clips={w: PoseSequence(frames=f, source_id=w) for w, f in clips.items()})
+        records = [SentenceRecord(id=f"r{i}", text=tuple(t)) for i, t in enumerate(texts)]
+        known = [[w for w in r.text if w.lower() in clips] for r in records]
+        kept = [
+            (r, words) for r, words in zip(records, known)
+            if words and (skip_oov or len(words) == len(r.text))
+        ]
+        cfg = StitchConfig(
+            word_order=order, jitter_strides=tuple(jitter), crossfade_frames=crossfade, seed=seed
+        )
+        written = {}
+
+        def write_pose(record, sequence):
+            written[record.id] = sequence.frames
+            return f"{record.id}.psp"
+
+        if not kept:
+            with pytest.raises(ValueError, match="no stitchable records"):
+                stitch_dataset(records, lex, cfg, target, write_pose=write_pose, skip_oov=skip_oov)
+            return
+        result = stitch_dataset(records, lex, cfg, target, write_pose=write_pose, skip_oov=skip_oov)
+
+        pre_mean = sum(sum(len(clips[w.lower()]) for w in words) for _, words in kept) / len(kept)
+        base_stride = max(1, round(pre_mean / target))
+        assert result.base_stride == base_stride
+        assert result.skipped == len(records) - len(kept)
+        assert [r.id for r in result.records] == [r.id for r, _ in kept]
+        for out, (record, _) in zip(result.records, kept):
+            frames, _, _ = oracles.stitch_sentence_reference(
+                record.text, clips, order, base_stride, jitter, crossfade, seed, record.id,
+                skip_oov=skip_oov,
+            )
+            assert written[record.id].tobytes() == frames.tobytes()
+            assert out == replace(
+                record, word_order=order, pose_path=f"{record.id}.psp", n_frames=len(frames)
+            )
 
 
 class TestStitchConfig:
