@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .io import atomic_open
+from .io import DataError, _json_object, atomic_open
 
 END_OF_WORD = "</w>"
 UNK = "<unk>"
@@ -245,12 +245,28 @@ def save_model(path, model: BpeModel) -> None:
 
 
 def load_model(path) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    return BpeModel(
-        merges=tuple((a, b) for a, b in payload["merges"]),
-        vocab=payload["vocab"],
-        specials=tuple(payload["specials"]),
-    )
+    """Read a model file written by ``save_model``.  A file that is not one,
+    including one whose fields have the wrong types, is a DataError naming
+    the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = _json_object(fh.read())
+        if payload is None:
+            raise ValueError("empty file")
+        if payload.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {payload.get('version')!r}")
+        merges, vocab, specials = payload["merges"], payload["vocab"], payload["specials"]
+        if not isinstance(merges, list) or not all(
+            isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m)
+            for m in merges
+        ):
+            raise ValueError("merges must be a list of pairs of strings")
+        if not isinstance(vocab, dict) or not all(type(i) is int for i in vocab.values()):
+            raise ValueError("vocab must map strings to ints")
+        if not isinstance(specials, list) or not all(isinstance(s, str) for s in specials):
+            raise ValueError("specials must be a list of strings")
+        return BpeModel(merges=merges, vocab=vocab, specials=specials)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise DataError(f"{path}: {exc}") from None

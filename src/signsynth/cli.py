@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bpe, corpus, curriculum, io, keypoints, metrics, stitch, templates
-from .pose import default_selection
+from .pose import WORD_ORDERS, default_selection
 
 
 class UsageError(Exception):
@@ -30,12 +31,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# Every setting a --config file may give, with the type its value is read
-# as.  Each is also a flag of one subcommand; the flag wins over the file.
-SETTINGS: dict[str, type] = {
-    "min_rate": float, "max_len": int, "fraction": float, "group": int, "min_freq": int,
-    "threshold": float, "crossfade_frames": int, "target_mean_frames": float,
-    "max_real_fraction": float, "ramp_steps": int, "vocab_size": int,
+# A setting a --config file may give: the subcommand and flag that also set
+# it, the type its value is read as, and its default (None: it is required).
+Setting = namedtuple("Setting", "command flag type default")
+
+# Each setting is declared here once; a default that a library dataclass holds
+# is read from it.  cli() resolves the chosen command's settings onto args:
+# explicit flag > config file > default.
+SETTINGS: dict[str, Setting] = {
+    "min_rate": Setting("filter", "--min-rate", float, 0.9),
+    "max_len": Setting("merge", "--max-len", int, corpus.MergePolicy.max_len),
+    "fraction": Setting("merge", "--fraction", float, corpus.MergePolicy.fraction),
+    "group": Setting("merge", "--group", int, corpus.MergePolicy.group),
+    "min_freq": Setting("postprocess", "--min-freq", int, 3),
+    "threshold": Setting("ingest", "--threshold", float, 0.8),
+    "crossfade_frames":
+        Setting("stitch", "--crossfade", int, stitch.StitchConfig.crossfade_frames),
+    "target_mean_frames": Setting("stitch", "--target-mean", float, None),
+    "max_real_fraction":
+        Setting("sample", "--max-real", float, curriculum.AnnealSchedule.max_real_fraction),
+    "ramp_steps": Setting("sample", "--ramp", int, curriculum.AnnealSchedule.ramp_steps),
+    "vocab_size": Setting("tokenize", "--vocab-size", int, 15_000),
 }
 
 
@@ -48,23 +64,13 @@ def _config_line(line: str) -> tuple[str, str] | None:
     key, value = (part.strip() for part in line.split("=", 1))
     if key not in SETTINGS:
         raise ValueError(f"unknown setting {key!r}")
-    SETTINGS[key](value)  # a bad value is an error here, where it has a line
+    SETTINGS[key].type(value)  # a bad value is an error here, where it has a line
     return key, value
 
 
 def load_config(path) -> dict[str, str]:
     """Flat 'key = value' lines naming SETTINGS; '#' starts a comment."""
     return dict(item for _, item in io.read_lines(path, _config_line))
-
-
-def _setting(args, config: dict[str, str], name: str, default=None):
-    """Precedence: explicit flag > config file > default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        return SETTINGS[name](config[name])
-    return default
 
 
 def _count(minimum: int):
@@ -80,13 +86,15 @@ def _count(minimum: int):
     return parse
 
 
-def _settings(args, config: dict[str, str], *names: str) -> dict:
-    """The named settings given by flag or config file; unset ones are left
-    out, so the library's own defaults apply."""
-    return {name: value for name in names if (value := _setting(args, config, name)) is not None}
+def _strides(text: str) -> tuple[int, ...]:
+    """argparse type for --jitter: comma-separated strides; empty keeps the default."""
+    return tuple(map(int, text.split(","))) if text else stitch.StitchConfig.jitter_strides
 
 
-def _cmd_gen(args, config) -> int:
+_strides.__name__ = "comma-separated int"  # names the type in "invalid ... value: '1,x'"
+
+
+def _cmd_gen(args) -> int:
     pack = templates.load_templates(args.templates)
     lex = templates.load_slot_lexicon(args.lexicon)
     for template in pack:
@@ -110,19 +118,18 @@ def _cmd_gen(args, config) -> int:
     return 0
 
 
-def _cmd_filter(args, config) -> int:
+def _cmd_filter(args) -> int:
     vocab = io.read_word_list(args.vocab)
     sentences = (io.read_text_corpus if args.text else io.read_manifest)(args.input)
-    min_rate = _setting(args, config, "min_rate", 0.9)
-    kept = list(corpus.filter_corpus(sentences, vocab, min_rate))
+    kept = list(corpus.filter_corpus(sentences, vocab, args.min_rate))
     io.write_manifest(args.out, kept)
-    print(f"filter: kept {len(kept)}/{len(sentences)} sentences (match rate > {min_rate})")
+    print(f"filter: kept {len(kept)}/{len(sentences)} sentences (match rate > {args.min_rate})")
     return 0
 
 
-def _cmd_merge(args, config) -> int:
+def _cmd_merge(args) -> int:
     sentences = io.read_manifest(args.input)
-    policy = corpus.MergePolicy(**_settings(args, config, "max_len", "fraction", "group"))
+    policy = corpus.MergePolicy(max_len=args.max_len, fraction=args.fraction, group=args.group)
     merged = corpus.merge_short(sentences, policy, seed=args.seed)
     io.write_manifest(args.out, merged)
     stats = corpus.length_stats(merged)
@@ -133,14 +140,13 @@ def _cmd_merge(args, config) -> int:
     return 0
 
 
-def _cmd_postprocess(args, config) -> int:
+def _cmd_postprocess(args) -> int:
     sentences = io.read_manifest(args.input)
     names = io.read_word_list(args.names) if args.names else set()
     extra = []
     for path in args.count_extra or []:
         extra.extend(io.read_manifest(path))
-    min_freq = _setting(args, config, "min_freq", 3)
-    out = corpus.replace_rare_and_names(sentences, names, min_freq, extra_counts=extra)
+    out = corpus.replace_rare_and_names(sentences, names, args.min_freq, extra_counts=extra)
     io.write_manifest(args.out, out)
     n_person = sum(tok == corpus.PERSON_TOKEN for r in out for tok in r.text)
     n_unknown = sum(tok == corpus.UNKNOWN_TOKEN for r in out for tok in r.text)
@@ -148,9 +154,8 @@ def _cmd_postprocess(args, config) -> int:
     return 0
 
 
-def _cmd_ingest(args, config) -> int:
+def _cmd_ingest(args) -> int:
     raw_dir = Path(args.raw_dir)
-    threshold = _setting(args, config, "threshold", 0.8)
     selection = default_selection()
     paths = io.files_by_word(raw_dir, ".jsonl")
     if not paths:
@@ -160,7 +165,7 @@ def _cmd_ingest(args, config) -> int:
     with io.pose_set(args.out_dir) as write_pose:
         for path in paths.values():
             seq, report = keypoints.process_word_video(
-                io.read_raw_landmark_file(path), selection, threshold, source_id=path.stem
+                io.read_raw_landmark_file(path), selection, args.threshold, source_id=path.stem
             )
             write_pose(path.stem, seq)
             filled += report.keypoints_filled
@@ -172,28 +177,21 @@ def _cmd_ingest(args, config) -> int:
     return 0
 
 
-def _cmd_stitch(args, config) -> int:
+def _cmd_stitch(args) -> int:
     records = io.read_manifest(args.manifest)
     lex = io.load_sign_lexicon(args.lexicon_dir)
-    jitter = {}
-    if args.jitter:
-        jitter["jitter_strides"] = tuple(int(x) for x in args.jitter.split(","))
-    cfg = stitch.StitchConfig(
-        word_order=args.word_order,
-        seed=args.seed,
-        **jitter,
-        **_settings(args, config, "crossfade_frames"),
-    )
-    target_mean = _setting(args, config, "target_mean_frames")
-    if target_mean is None:
-        raise UsageError("--target-mean is required (or target_mean_frames in --config)")
+    cfg = stitch.StitchConfig(args.word_order, jitter_strides=args.jitter,
+                              crossfade_frames=args.crossfade_frames, seed=args.seed)
+    if args.target_mean_frames is None:
+        flag = SETTINGS["target_mean_frames"].flag
+        raise UsageError(f"{flag} is required (or target_mean_frames in --config)")
 
     with io.pose_set(args.out_dir) as write_pose:
         result = stitch.stitch_dataset(
             records,
             lex,
             cfg,
-            target_mean_frames=target_mean,
+            target_mean_frames=args.target_mean_frames,
             write_pose=lambda record, sequence: write_pose(record.id, sequence),
             skip_oov=args.skip_oov,
         )
@@ -206,10 +204,8 @@ def _cmd_stitch(args, config) -> int:
     return 0
 
 
-def _cmd_sample(args, config) -> int:
-    sched = curriculum.AnnealSchedule(
-        **_settings(args, config, "max_real_fraction", "ramp_steps")
-    )
+def _cmd_sample(args) -> int:
+    sched = curriculum.AnnealSchedule(args.max_real_fraction, args.ramp_steps)
     curriculum.write_schedule_csv(
         args.out, args.total_steps, sched, args.seed, args.real_size, args.synth_size
     )
@@ -217,13 +213,12 @@ def _cmd_sample(args, config) -> int:
     return 0
 
 
-def _cmd_tokenize(args, config) -> int:
+def _cmd_tokenize(args) -> int:
     if args.action == "train":
         sentences = [r.text for r in io.read_manifest(args.input)]
         for path in args.extra or []:
             sentences.extend(r.text for r in io.read_manifest(path))
-        vocab_size = _setting(args, config, "vocab_size", 15_000)
-        model = bpe.bpe_train(sentences, vocab_size)
+        model = bpe.bpe_train(sentences, args.vocab_size)
         bpe.save_model(args.model, model)
         print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
         return 0
@@ -246,7 +241,7 @@ def _eval_pair(obj: dict) -> tuple[list[str], list[str]]:
     return metrics.tokenize_for_metrics(candidate), metrics.tokenize_for_metrics(reference)
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args) -> int:
     pairs = [pair for _, pair in io.read_jsonl(args.input, _eval_pair)]
     report = metrics.eval_pairs(pairs, smooth=args.smooth)
     for n in sorted(report.bleu):
@@ -260,7 +255,7 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
-def _cmd_stats(args, config) -> int:
+def _cmd_stats(args) -> int:
     records = io.read_manifest(args.manifest)
     stats = io.compute_stats(records)
     io.write_stats(args.out, stats)
@@ -306,23 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="keep corpus sentences matching the vocabulary")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--vocab", required=True, help="word list, one per line")
-    p.add_argument("--min-rate", dest="min_rate", type=float, default=None)
     p.add_argument("--text", action="store_true", help="input is plain text, not JSONL")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("merge", help="merge short sentences to match length distribution")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--group", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("postprocess", help="replace names and rare words")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--names", default=None, help="gazetteer, one name per line")
-    p.add_argument("--min-freq", dest="min_freq", type=int, default=None)
     p.add_argument("--count-extra", nargs="*", default=None,
                    help="additional manifests included in the frequency pass")
     p.add_argument("--out", required=True)
@@ -331,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="raw landmark files -> word pose files")
     p.add_argument("--raw-dir", dest="raw_dir", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("stitch", help="sentences + sign lexicon -> pose dataset")
@@ -339,18 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon-dir", dest="lexicon_dir", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--out-manifest", dest="out_manifest", required=True)
-    p.add_argument("--target-mean", dest="target_mean_frames", type=float, default=None)
-    p.add_argument("--word-order", dest="word_order", choices=("swo", "rwo"), default="swo")
-    p.add_argument("--crossfade", dest="crossfade_frames", type=int, default=None)
-    p.add_argument("--jitter", default=None, help="comma-separated strides, e.g. 1,2,3")
+    p.add_argument("--word-order", choices=WORD_ORDERS, default=stitch.StitchConfig.word_order)
+    p.add_argument("--jitter", type=_strides, default=stitch.StitchConfig.jitter_strides,
+                   help="comma-separated strides, e.g. 1,2,3")
     p.set_defaults(func=_cmd_stitch)
 
     p = sub.add_parser("sample", help="export curriculum mixture schedule CSV")
     p.add_argument("--total-steps", dest="total_steps", type=_count(0), required=True)
     p.add_argument("--real-size", dest="real_size", type=_count(1), required=True)
     p.add_argument("--synth-size", dest="synth_size", type=_count(1), required=True)
-    p.add_argument("--max-real", dest="max_real_fraction", type=float, default=None)
-    p.add_argument("--ramp", dest="ramp_steps", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -360,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra", nargs="*", default=None,
                    help="extra manifests for training (e.g. the real train split)")
     p.add_argument("--model", required=True)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tokenize)
 
@@ -377,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-csv", dest="hist_csv", default=None,
                    help="prefix for *_lengths.csv / *_frames.csv")
     p.set_defaults(func=_cmd_stats)
+
+    for name, s in SETTINGS.items():
+        sub.choices[s.command].add_argument(s.flag, dest=name, type=s.type)
     return parser
 
 
@@ -384,7 +372,10 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        for name, s in SETTINGS.items():  # flag > config > default
+            if s.command == args.command and getattr(args, name) is None:
+                setattr(args, name, s.type(config[name]) if name in config else s.default)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:

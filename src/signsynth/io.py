@@ -242,15 +242,17 @@ def read_pose_file(path) -> PoseSequence:
         header_line = fh.readline()
         payload = fh.read()
     try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = _json_object(header_line.decode("utf-8"))
+        if header is None:
+            raise ValueError("blank line")
+    except ValueError as exc:  # also UnicodeDecodeError
         raise DataError(f"{path}: malformed header: {exc}") from None
     if header.get("version") != POSE_FILE_VERSION:
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
     if header.get("dims") != FRAME_DIM:
         raise DataError(f"{path}: dims must be {FRAME_DIM}, got {header.get('dims')}")
     n_frames = header.get("n_frames")
-    if not isinstance(n_frames, int) or n_frames < 1:
+    if type(n_frames) is not int or n_frames < 1:  # JSON true is not a count
         raise DataError(f"{path}: invalid n_frames {n_frames!r}")
     expected = n_frames * FRAME_DIM * 4
     if len(payload) != expected:

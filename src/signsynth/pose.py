@@ -14,7 +14,7 @@ read-only copies), so they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -201,9 +201,6 @@ class SentenceRecord:
             raise ValueError(f"record {self.id!r}: n_frames must be at least 1")
         if self.pose_path is not None and self.n_frames is None:
             raise ValueError(f"record {self.id!r}: pose_path set but n_frames missing")
-
-    def with_pose(self, pose_path: str, n_frames: int) -> "SentenceRecord":
-        return replace(self, pose_path=pose_path, n_frames=n_frames)
 
 
 def _validated_indices(indices, size: int, bound: int, name: str) -> tuple[int, ...]:

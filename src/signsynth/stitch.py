@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import LengthHistogram
-from .pose import FRAME_DIM, PoseSequence, SentenceRecord
+from .pose import FRAME_DIM, WORD_ORDERS, PoseSequence, SentenceRecord
 from .seeds import derive_seed
 
 
@@ -60,8 +60,8 @@ class StitchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.word_order not in ("swo", "rwo"):
-            raise ValueError(f"word_order must be 'swo' or 'rwo', got {self.word_order!r}")
+        if self.word_order not in WORD_ORDERS:
+            raise ValueError(f"word_order must be one of {WORD_ORDERS}, got {self.word_order!r}")
         if self.base_stride < 1:
             raise ValueError(f"base_stride must be >= 1, got {self.base_stride}")
         jitter = tuple(sorted(set(int(j) for j in self.jitter_strides)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import warnings
 from importlib import resources
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signsynth import bpe, io
+from signsynth import bpe, cli as cli_module, corpus, curriculum, io, keypoints, stitch
 from signsynth.cli import cli, load_config
 from signsynth.io import (
     read_manifest,
@@ -734,6 +735,124 @@ class TestConfigSettings:
         ) == (base, 2)
 
 
+    # Every config setting: its subcommand, its flag, its default (None: the
+    # setting is required), a config value and a flag value, and the library
+    # call it reaches: (module, function, parameter, attribute of that
+    # argument or None).
+    SETTING_CASES = {
+        "min_rate": ("filter", "--min-rate", 0.9, "0.5", "0.25",
+                     (corpus, "filter_corpus", "min_rate", None)),
+        "max_len": ("merge", "--max-len", 8, "5", "6",
+                    (corpus, "merge_short", "policy", "max_len")),
+        "fraction": ("merge", "--fraction", 0.9, "0.5", "0.25",
+                     (corpus, "merge_short", "policy", "fraction")),
+        "group": ("merge", "--group", 3, "4", "5",
+                  (corpus, "merge_short", "policy", "group")),
+        "min_freq": ("postprocess", "--min-freq", 3, "4", "5",
+                     (corpus, "replace_rare_and_names", "min_freq", None)),
+        "threshold": ("ingest", "--threshold", 0.8, "0.5", "0.25",
+                      (keypoints, "process_word_video", "threshold", None)),
+        "crossfade_frames": ("stitch", "--crossfade", 2, "4", "5",
+                             (stitch, "stitch_dataset", "cfg", "crossfade_frames")),
+        "target_mean_frames": ("stitch", "--target-mean", None, "30", "40",
+                               (stitch, "stitch_dataset", "target_mean_frames", None)),
+        "max_real_fraction": ("sample", "--max-real", 0.85, "0.5", "0.25",
+                              (curriculum, "write_schedule_csv", "sched", "max_real_fraction")),
+        "ramp_steps": ("sample", "--ramp", 60_000, "4", "5",
+                       (curriculum, "write_schedule_csv", "sched", "ramp_steps")),
+        "vocab_size": ("tokenize", "--vocab-size", 15_000, "40", "50",
+                       (bpe, "bpe_train", "vocab_size", None)),
+    }
+
+    class Reached(Exception):
+        """Raised by a patched library call, carrying the value it was given."""
+
+    def command_argv(self, tmp_path, command: str) -> list[str]:
+        """A runnable invocation of ``command`` up to its library call."""
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="r", text=("boy", "can", "see"))])
+        out = str(tmp_path / "out")
+        if command == "filter":
+            vocab = tmp_path / "vocab.txt"
+            vocab.write_text("boy\n")
+            return ["filter", "--in", str(manifest), "--vocab", str(vocab), "--out", out]
+        if command in ("merge", "postprocess"):
+            return [command, "--in", str(manifest), "--out", out]
+        if command == "ingest":
+            raw_dir = tmp_path / "raw"
+            raw_dir.mkdir()
+            rng = np.random.default_rng(0)
+            write_raw_landmark_file(raw_dir / "boy.jsonl", [random_raw_frame(rng)])
+            return ["ingest", "--raw-dir", str(raw_dir), "--out-dir", out]
+        if command == "stitch":
+            return ["stitch", "--manifest", str(manifest),
+                    "--lexicon-dir", str(build_lexicon_dir(tmp_path, words=("boy", "see"))),
+                    "--out-dir", out, "--out-manifest", str(tmp_path / "out.jsonl")]
+        if command == "sample":
+            return ["sample", "--total-steps", "1", "--real-size", "1", "--synth-size", "1",
+                    "--out", out]
+        assert command == "tokenize"
+        return ["tokenize", "train", "--in", str(manifest), "--model", out]
+
+    def test_cases_cover_every_setting(self):
+        assert set(self.SETTING_CASES) == set(cli_module.SETTINGS)
+
+    @pytest.mark.parametrize("source", ["default", "config", "flag"])
+    @pytest.mark.parametrize("name", sorted(SETTING_CASES))
+    def test_precedence_reaches_library(self, tmp_path, monkeypatch, name, source):
+        command, flag, default, config_value, flag_value, target = self.SETTING_CASES[name]
+        module, function, parameter, attribute = target
+        signature = inspect.signature(getattr(module, function))
+
+        def spy(*args, **kwargs):
+            value = signature.bind(*args, **kwargs).arguments[parameter]
+            raise self.Reached(value if attribute is None else getattr(value, attribute))
+
+        monkeypatch.setattr(module, function, spy)
+        argv = self.command_argv(tmp_path, command)
+        if source != "default":
+            (tmp_path / "run.cfg").write_text(f"{name} = {config_value}\n")
+            argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+        if source == "flag":
+            argv += [flag, flag_value]
+        if name != "target_mean_frames" and command == "stitch":
+            argv += ["--target-mean", "30"]
+        kind = float if default is None else type(default)
+        expected = {"default": default, "config": kind(config_value),
+                    "flag": kind(flag_value)}[source]
+        if expected is None:  # a required setting left unset is a usage error
+            assert cli(argv) == 1
+            return
+        with pytest.raises(self.Reached) as reached:
+            cli(argv)
+        (value,) = reached.value.args
+        assert value == expected and type(value) is kind
+
+    @pytest.mark.parametrize("command", [
+        "gen", "filter", "merge", "postprocess", "ingest", "stitch", "sample", "tokenize",
+        "eval", "stats",
+    ])
+    def test_help_lists_setting_flags(self, capsys, command):
+        assert cli([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for setting_command, flag, *_ in self.SETTING_CASES.values():
+            if setting_command == command:
+                assert f"{flag} " in out
+
+    def test_readme_table_matches_settings(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        assert rows == [
+            (name, s.command, s.flag, "required" if s.default is None else str(s.default))
+            for name, s in cli_module.SETTINGS.items()
+        ]
+
+
 class TestSmallerFixes:
     def test_gen_limit_and_sample_are_exclusive(self, tmp_path, capsys):
         out = tmp_path / "m.jsonl"
@@ -786,4 +905,66 @@ class TestSmallerFixes:
         assert cli(["stats", "--manifest", str(manifest), "--out", str(out)]) == 2
         err = capsys.readouterr().err.replace(str(manifest), "PATH")
         assert "PATH:1: record 'r-5': n_frames must be at least 1" in err
+        assert not out.exists()
+
+    def test_malformed_jitter_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli([
+            "stitch", "--manifest", str(tmp_path / "m.jsonl"), "--lexicon-dir", str(tmp_path),
+            "--out-dir", str(out_dir), "--out-manifest", str(tmp_path / "out.jsonl"),
+            "--target-mean", "30", "--jitter", "1,x",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "argument --jitter: invalid comma-separated int value: '1,x'" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("header", [
+        b"[1]",
+        b"",
+        b"not json",
+        json.dumps({"version": "psp-v1", "n_frames": True, "dims": FRAME_DIM}).encode(),
+    ], ids=["list", "blank", "not-json", "n_frames-true"])
+    def test_malformed_pose_header_names_file(self, tmp_path, capsys, header):
+        lex_dir = build_lexicon_dir(tmp_path, words=("boy",))
+        bad = lex_dir / "see.psp"
+        bad.write_bytes(header + b"\n" + bytes(FRAME_DIM * 4))
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="s", text=("boy", "see"))])
+        assert cli([
+            "stitch", "--manifest", str(manifest), "--lexicon-dir", str(lex_dir),
+            "--out-dir", str(tmp_path / "out"), "--out-manifest", str(tmp_path / "out.jsonl"),
+            "--target-mean", "30",
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"signsynth: data error: {bad}: ")
+
+    @pytest.mark.parametrize("model", [
+        b"[1]",
+        b"",
+        b"not json",
+        b"\xff",
+        b'{"version": "bpe-v1"}',
+        b'{"version": "bpe-v1", "merges": [[1, 2]], "vocab": {}, "specials": []}',
+        b'{"version": "bpe-v1", "merges": [["a"]], "vocab": {}, "specials": []}',
+        b'{"version": "bpe-v1", "merges": {}, "vocab": {}, "specials": []}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": [], "specials": []}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": {"a": "0"}, "specials": []}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": {"a": true}, "specials": []}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": {"a": 0}, "specials": [0]}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": {"a": 0}, "specials": "a"}',
+    ], ids=[
+        "list", "empty", "not-json", "bad-utf8", "no-merges", "int-merge", "short-merge",
+        "merges-object", "vocab-list", "vocab-str-id", "vocab-bool-id", "int-special",
+        "specials-string",
+    ])
+    def test_bad_bpe_model_names_file(self, tmp_path, capsys, model):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(model)
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="s", text=("a",))])
+        out = tmp_path / "ids.jsonl"
+        assert cli([
+            "tokenize", "encode", "--in", str(manifest), "--model", str(model_path),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"signsynth: data error: {model_path}: ")
         assert not out.exists()

@@ -119,13 +119,6 @@ class TestSentenceRecord:
         record = SentenceRecord(id="x", text=("hi",), pose_path="x.psp", n_frames=3)
         assert record.n_frames == 3
 
-    def test_with_pose(self):
-        record = SentenceRecord(id="x", text=("hi", "there"))
-        updated = record.with_pose("out/x.psp", 12)
-        assert updated.pose_path == "out/x.psp"
-        assert updated.n_frames == 12
-        assert record.pose_path is None
-
 
 class TestKeypointSelection:
     def test_rejects_unsorted(self):
