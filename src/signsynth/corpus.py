@@ -49,6 +49,8 @@ class MergePolicy:
     group: int = 3
 
     def __post_init__(self) -> None:
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if self.group < 2:
             raise ValueError(f"group must be >= 2, got {self.group}")
         if not 0.0 <= self.fraction <= 1.0:

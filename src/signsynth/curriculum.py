@@ -9,17 +9,20 @@ same mixture, and data-loader workers need no shared RNG state.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .io import atomic_open
 from .pose import PoseSequence
-from .seeds import derive_seed
+from .seeds import derive_seed, derive_seeds, first_randoms
 
 REAL = "real"
 SYNTHETIC = "synthetic"
+
+# Steps drawn together by write_schedule_csv: large enough to amortize the
+# per-call cost of the array kernel, small enough to keep its arrays in cache.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,20 @@ def emit_schedule(
 def write_schedule_csv(
     path, total_steps: int, sched: AnnealSchedule, seed: int, real_size: int, synth_size: int
 ) -> None:
-    """Export the mixture schedule as 'step,real_fraction,source' rows."""
+    """Export the mixture schedule as 'step,real_fraction,source' rows.
+
+    Row ``step`` carries the source of ``draw(step, ...)``.  Only the first
+    ``random()`` of a step's generator picks the source, and the item index
+    is not exported, so the rows are computed a block of steps at a time.
+    """
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "real_fraction", "source"])
-        for d in emit_schedule(total_steps, sched, seed, real_size, synth_size):
-            writer.writerow([d.step, f"{real_fraction(d.step, sched):.6f}", d.source])
+        fh.write("step,real_fraction,source\r\n")
+        if total_steps > 0 and (real_size < 1 or synth_size < 1):
+            raise ValueError("dataset sizes must be >= 1")
+        for start in range(0, total_steps, _BLOCK):
+            steps = range(start, min(start + _BLOCK, total_steps))
+            rows = []
+            for step, u in zip(steps, first_randoms(derive_seeds(seed, steps)).tolist()):
+                frac = real_fraction(step, sched)
+                rows.append(f"{step},{frac:.6f},{REAL if u < frac else SYNTHETIC}\r\n")
+            fh.write("".join(rows))

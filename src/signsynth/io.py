@@ -249,8 +249,9 @@ def read_pose_file(path) -> PoseSequence:
         raise DataError(f"{path}: malformed header: {exc}") from None
     if header.get("version") != POSE_FILE_VERSION:
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
-    if header.get("dims") != FRAME_DIM:
-        raise DataError(f"{path}: dims must be {FRAME_DIM}, got {header.get('dims')}")
+    dims = header.get("dims")
+    if type(dims) is not int or dims != FRAME_DIM:  # not 152.0, not true
+        raise DataError(f"{path}: dims must be {FRAME_DIM}, got {dims!r}")
     n_frames = header.get("n_frames")
     if type(n_frames) is not int or n_frames < 1:  # JSON true is not a count
         raise DataError(f"{path}: invalid n_frames {n_frames!r}")
@@ -264,7 +265,10 @@ def read_pose_file(path) -> PoseSequence:
     if not np.isfinite(frames).all():
         bad = int(np.flatnonzero(~np.isfinite(frames))[0])
         raise DataError(f"{path}: non-finite value at flat offset {bad}")
-    return PoseSequence(frames=frames, source_id=str(header.get("source_id", "")))
+    source_id = header.get("source_id", "")
+    if not isinstance(source_id, str):
+        raise DataError(f"{path}: source_id must be a string, got {source_id!r}")
+    return PoseSequence(frames=frames, source_id=source_id)
 
 
 def files_by_word(directory, suffix: str) -> dict[str, Path]:

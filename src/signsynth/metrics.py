@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Tokens = Sequence[str]
 
@@ -60,7 +60,52 @@ def tokenize_for_metrics(text: str) -> list[str]:
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _overlap(cand_counts: Counter, ref_counts: Counter) -> int:
+    """Clipped (multiset) n-gram matches."""
+    return sum(min(k, ref_counts[g]) for g, k in cand_counts.items())
+
+
+def _order_counts(cand: Tokens, ref: Tokens, max_n: int) -> Iterator[tuple[int, int, int]]:
+    """(clipped matches, candidate n-grams, reference n-grams) of one pair,
+    for n = 1..max_n."""
+    for n in range(1, max_n + 1):
+        cand_counts = _ngram_counts(cand, n)
+        ref_counts = _ngram_counts(ref, n)
+        yield _overlap(cand_counts, ref_counts), cand_counts.total(), ref_counts.total()
+
+
+def _bleu_scores(
+    matches: Sequence[int], totals: Sequence[int], c: int, r: int, smooth: bool
+) -> dict[int, float]:
+    """BLEU-n for n in 1..len(matches) from the corpus clipped-match and
+    n-gram counts per order, and the candidate and reference lengths."""
+    max_n = len(matches)
+    if c == 0:
+        return {n: 0.0 for n in range(1, max_n + 1)}
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+
+    precisions: list[float] = []
+    smooth_scale = 1.0
+    for matched, total in zip(matches, totals):
+        if total == 0:
+            precisions.append(0.0)
+        elif matched == 0 and smooth:
+            smooth_scale *= 2.0
+            precisions.append(1.0 / (smooth_scale * total))
+        else:
+            precisions.append(matched / total)
+
+    scores: dict[int, float] = {}
+    for n in range(1, max_n + 1):
+        window = precisions[:n]
+        if any(p == 0.0 for p in window):
+            scores[n] = 0.0
+        else:
+            scores[n] = bp * math.exp(sum(math.log(p) for p in window) / n) * 100.0
+    return scores
 
 
 def bleu_corpus(
@@ -78,41 +123,15 @@ def bleu_corpus(
         raise ValueError("empty corpus")
     if not 1 <= max_n <= 4:
         raise ValueError(f"max_n must be in [1, 4], got {max_n}")
-
+    matches = [0] * max_n
+    totals = [0] * max_n
+    for cand, ref in zip(candidates, references):
+        for i, (overlap, n_cand, _) in enumerate(_order_counts(cand, ref, max_n)):
+            matches[i] += overlap
+            totals[i] += n_cand
     c = sum(len(tokens) for tokens in candidates)
     r = sum(len(tokens) for tokens in references)
-    if c == 0:
-        return {n: 0.0 for n in range(1, max_n + 1)}
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-
-    precisions: list[float] = []
-    smooth_scale = 1.0
-    for n in range(1, max_n + 1):
-        matches = 0
-        total = 0
-        for cand, ref in zip(candidates, references):
-            cand_counts = _ngram_counts(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            matches += sum(min(k, ref_counts[g]) for g, k in cand_counts.items())
-            total += sum(cand_counts.values())
-        if total == 0:
-            precisions.append(0.0)
-        elif matches == 0 and smooth:
-            smooth_scale *= 2.0
-            precisions.append(1.0 / (smooth_scale * total))
-        else:
-            precisions.append(matches / total)
-
-    scores: dict[int, float] = {}
-    for n in range(1, max_n + 1):
-        window = precisions[:n]
-        if any(p == 0.0 for p in window):
-            scores[n] = 0.0
-        else:
-            scores[n] = bp * math.exp(sum(math.log(p) for p in window) / n) * 100.0
-    return scores
+    return _bleu_scores(matches, totals, c, r, smooth)
 
 
 def _prf(overlap: float, n_cand: int, n_ref: int) -> tuple[float, float, float]:
@@ -128,36 +147,53 @@ def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> tuple[float, float,
         raise ValueError(f"n must be >= 1, got {n}")
     cand_counts = _ngram_counts(candidate, n)
     ref_counts = _ngram_counts(reference, n)
-    overlap = sum(min(k, ref_counts[g]) for g, k in cand_counts.items())
-    return _prf(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
+    return _prf(_overlap(cand_counts, ref_counts), cand_counts.total(), ref_counts.total())
+
+
+def _lcs_length(a: Tokens, b: Tokens) -> int:
+    """Length of a longest common subsequence, bit-parallel over ``b``
+    (Hyyro, "Bit-parallel LCS-length computation revisited", 2004): bit j of
+    ``v`` is 0 where the LCS of the prefix of ``a`` read so far and ``b[:j+1]``
+    grows at j, so the LCS length is the number of 0 bits."""
+    positions: dict = {}
+    for j, token in enumerate(b):
+        positions[token] = positions.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & positions.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Tokens, reference: Tokens) -> tuple[float, float, float]:
     """Longest-common-subsequence overlap as (precision, recall, f1)."""
     if not candidate or not reference:
         return 0.0, 0.0, 0.0
-    # Two-row LCS dynamic program.
-    prev = [0] * (len(reference) + 1)
-    for a in candidate:
-        row = [0]
-        for j, b in enumerate(reference, start=1):
-            if a == b:
-                row.append(prev[j - 1] + 1)
-            else:
-                row.append(max(prev[j], row[-1]))
-        prev = row
-    return _prf(prev[-1], len(candidate), len(reference))
+    return _prf(_lcs_length(candidate, reference), len(candidate), len(reference))
 
 
 def eval_pairs(
     pairs: Sequence[tuple[Tokens, Tokens]], smooth: bool = False
 ) -> EvalReport:
-    """Full report over (candidate, reference) pairs."""
+    """Full report over (candidate, reference) pairs, in one pass: each
+    pair's n-gram counts feed both its BLEU sums and its ROUGE-1/2."""
     if not pairs:
         raise ValueError("empty corpus")
-    candidates = [cand for cand, _ in pairs]
-    references = [ref for _, ref in pairs]
-    bleu = bleu_corpus(candidates, references, max_n=4, smooth=smooth)
+    matches = [0] * 4
+    totals = [0] * 4
+    c = r = 0
+    rouge12: tuple[list, list] = ([], [])
+    rougeL = []
+    for cand, ref in pairs:
+        c += len(cand)
+        r += len(ref)
+        for i, (overlap, n_cand, n_ref) in enumerate(_order_counts(cand, ref, 4)):
+            matches[i] += overlap
+            totals[i] += n_cand
+            if i < 2:
+                rouge12[i].append(_prf(overlap, n_cand, n_ref))
+        rougeL.append(rouge_l(cand, ref))
 
     def mean_triples(triples: list[tuple[float, float, float]]) -> tuple[float, float, float]:
         k = len(triples)
@@ -168,10 +204,10 @@ def eval_pairs(
         )
 
     return EvalReport(
-        bleu=bleu,
-        rouge1=mean_triples([rouge_n(c, r, 1) for c, r in pairs]),
-        rouge2=mean_triples([rouge_n(c, r, 2) for c, r in pairs]),
-        rougeL=mean_triples([rouge_l(c, r) for c, r in pairs]),
+        bleu=_bleu_scores(matches, totals, c, r, smooth),
+        rouge1=mean_triples(rouge12[0]),
+        rouge2=mean_triples(rouge12[1]),
+        rougeL=mean_triples(rougeL),
         n_pairs=len(pairs),
         profile="exp" if smooth else "none",
     )

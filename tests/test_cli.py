@@ -896,6 +896,17 @@ class TestSmallerFixes:
         assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_len", ["0", "-5"])
+    def test_merge_rejects_max_len_below_1(self, tmp_path, capsys, max_len):
+        manifest = tmp_path / "in.jsonl"
+        write_manifest(manifest, [SentenceRecord(id=f"s{i}", text=("a",)) for i in range(3)])
+        out = tmp_path / "merged.jsonl"
+        assert cli(["merge", "--in", str(manifest), f"--max-len={max_len}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: max_len must be >= 1, got {max_len}\n"
+        )
+        assert not out.exists()
+
     def test_stats_rejects_n_frames_below_1(self, tmp_path, capsys):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text("".join(
@@ -923,7 +934,10 @@ class TestSmallerFixes:
         b"",
         b"not json",
         json.dumps({"version": "psp-v1", "n_frames": True, "dims": FRAME_DIM}).encode(),
-    ], ids=["list", "blank", "not-json", "n_frames-true"])
+        json.dumps({"version": "psp-v1", "n_frames": 1, "dims": float(FRAME_DIM)}).encode(),
+        json.dumps({"version": "psp-v1", "n_frames": 1, "dims": FRAME_DIM,
+                    "source_id": {"a": 1}}).encode(),
+    ], ids=["list", "blank", "not-json", "n_frames-true", "dims-float", "source_id-object"])
     def test_malformed_pose_header_names_file(self, tmp_path, capsys, header):
         lex_dir = build_lexicon_dir(tmp_path, words=("boy",))
         bad = lex_dir / "see.psp"

@@ -152,6 +152,9 @@ class TestMergeShort:
             MergePolicy(group=1)
         with pytest.raises(ValueError, match="fraction"):
             MergePolicy(fraction=1.2)
+        for max_len in (0, -5):
+            with pytest.raises(ValueError, match="max_len"):
+                MergePolicy(max_len=max_len)
 
 
 class TestReplaceRareAndNames:

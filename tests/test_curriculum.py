@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signsynth import curriculum
 from signsynth.curriculum import (
     REAL,
     SYNTHETIC,
@@ -147,6 +148,47 @@ class TestEmitSchedule:
         assert rows[0] == ["step", "real_fraction", "source"]
         assert len(rows) == 6
         assert rows[1][0] == "0" and rows[1][2] == SYNTHETIC
+
+
+schedules = st.builds(
+    AnnealSchedule,
+    max_real_fraction=st.floats(0.0, 1.0),
+    ramp_steps=st.one_of(st.integers(1, 10_000), st.integers(1, 2**70)),
+)
+
+
+class TestScheduleCsvMatchesDraw:
+    """write_schedule_csv computes its rows a block of steps at a time; each
+    row must still be the one draw() gives for its step."""
+
+    @pytest.mark.parametrize("total_steps", [
+        0, 1, curriculum._BLOCK - 1, curriculum._BLOCK, curriculum._BLOCK + 1,
+    ])
+    @given(sched=schedules, seed=st.integers(-(2**70), 2**70))
+    @settings(max_examples=5, deadline=None)
+    def test_rows_equal_draws(self, tmp_path_factory, total_steps, sched, seed):
+        path = tmp_path_factory.mktemp("csv") / "schedule.csv"
+        write_schedule_csv(path, total_steps, sched, seed, 3, 4)
+        want = ["step,real_fraction,source\r\n"] + [
+            f"{d.step},{real_fraction(d.step, sched):.6f},{d.source}\r\n"
+            for d in emit_schedule(total_steps, sched, seed, 3, 4)
+        ]
+        assert path.read_bytes() == "".join(want).encode()
+
+    @pytest.mark.parametrize("total_steps", [-1, 0, 1, curriculum._BLOCK + 1])
+    @pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (0, -1)])
+    def test_invalid_sizes_raise_only_with_steps(self, tmp_path, total_steps, sizes):
+        path = tmp_path / "schedule.csv"
+        if total_steps > 0:
+            with pytest.raises(ValueError, match="sizes"):
+                list(emit_schedule(total_steps, SCHED, 0, *sizes))
+            with pytest.raises(ValueError, match="sizes"):
+                write_schedule_csv(path, total_steps, SCHED, 0, *sizes)
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(emit_schedule(total_steps, SCHED, 0, *sizes)) == []
+            write_schedule_csv(path, total_steps, SCHED, 0, *sizes)
+            assert path.read_bytes() == b"step,real_fraction,source\r\n"
 
 
 class TestAnnealSchedule:

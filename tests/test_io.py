@@ -82,6 +82,28 @@ class TestPoseFile:
         with pytest.raises(DataError, match="version"):
             read_pose_file(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", float(FRAME_DIM), "dims"),
+        ("dims", str(FRAME_DIM), "dims"),
+        ("source_id", {"a": 1}, "source_id"),
+        ("source_id", 7, "source_id"),
+        ("source_id", None, "source_id"),
+    ])
+    def test_header_field_types_checked(self, tmp_path, field, value, message):
+        header = {"version": "psp-v1", "n_frames": 1, "dims": FRAME_DIM, "source_id": ""}
+        header[field] = value
+        path = tmp_path / "bad.psp"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * FRAME_DIM * 4)
+        with pytest.raises(DataError, match=message) as exc:
+            read_pose_file(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_absent_source_id_reads_empty(self, tmp_path):
+        header = {"version": "psp-v1", "n_frames": 1, "dims": FRAME_DIM}
+        path = tmp_path / "x.psp"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * FRAME_DIM * 4)
+        assert read_pose_file(path).source_id == ""
+
     def test_nan_payload_errors(self, tmp_path):
         header = {"version": "psp-v1", "n_frames": 1, "dims": FRAME_DIM, "source_id": ""}
         payload = np.full((1, FRAME_DIM), np.nan, dtype="<f4").tobytes()

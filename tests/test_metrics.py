@@ -159,6 +159,14 @@ class TestRougeL:
             oracles.rouge_l_reference(cand, ref)
         )
 
+    def test_long_sequences_match_dp_oracle(self):
+        # References longer than one 30-bit machine digit of a Python int.
+        rng = random.Random(5)
+        for _ in range(20):
+            cand = [rng.choice(VOCAB[:5]) for _ in range(rng.randint(1, 150))]
+            ref = [rng.choice(VOCAB[:5]) for _ in range(rng.randint(1, 150))]
+            assert rouge_l(cand, ref) == oracles.rouge_l_reference(cand, ref)
+
     @given(sentence_strategy)
     @settings(max_examples=40, deadline=None)
     def test_self_is_perfect(self, s):
@@ -184,6 +192,37 @@ class TestEvalPairs:
             assert report.bleu[n] == pytest.approx(want_bleu[n])
         want_rl = [oracles.rouge_l_reference(c, r) for c, r in pairs]
         assert report.rougeL[2] == pytest.approx(sum(t[2] for t in want_rl) / len(want_rl))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(VOCAB[:4]), max_size=10),
+                st.lists(st.sampled_from(VOCAB[:4]), max_size=10),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_matches_oracles(self, pairs, smooth):
+        report = eval_pairs(pairs, smooth=smooth)
+        cands = [c for c, _ in pairs]
+        refs = [r for _, r in pairs]
+        want_bleu = oracles.bleu_corpus_reference(cands, refs)
+        for n in range(1, 5):
+            if not smooth or want_bleu[n] > 0.0:
+                # Smoothing changes only orders with no clipped match, whose
+                # unsmoothed score is 0.
+                assert report.bleu[n] == pytest.approx(want_bleu[n], rel=1e-12, abs=1e-12)
+        assert report.bleu == bleu_corpus(cands, refs, smooth=smooth)
+
+        def mean(triples):
+            return tuple(sum(t[i] for t in triples) / len(triples) for i in range(3))
+
+        assert report.rouge1 == mean([oracles.rouge_n_reference(c, r, 1) for c, r in pairs])
+        assert report.rouge2 == mean([oracles.rouge_n_reference(c, r, 2) for c, r in pairs])
+        assert report.rougeL == mean([oracles.rouge_l_reference(c, r) for c, r in pairs])
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
