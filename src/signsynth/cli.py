@@ -375,7 +375,8 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         for name, s in SETTINGS.items():  # flag > config > default
             if s.command == args.command and getattr(args, name) is None:
                 setattr(args, name, s.type(config[name]) if name in config else s.default)
-        return args.func(args)
+        with io.outputs():  # one commit for all of the command's outputs
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:

@@ -1,10 +1,10 @@
 """File formats: binary pose files, raw landmark JSONL, dataset manifests.
 
 Pose payloads are binary (stitched datasets scale to millions of sequences);
-manifests and stats stay as human-auditable JSON.  A single file streams
-through ``atomic_open`` (temp file in the target directory, then rename); a
-set of pose files is written through ``pose_set`` and published as one
-directory.  Every read/write pair round-trips exactly.
+manifests and stats stay as human-auditable JSON.  ``atomic_open`` (a file)
+and ``pose_set`` (a directory of pose files) only stage their output, and
+``outputs()`` publishes a command's outputs as one commit.  Every read/write
+pair round-trips exactly.
 
 Every line-based input is read by ``read_lines``: one strict UTF-8 decode
 per line, ``\\n`` line ends, and errors that cite ``path:line``.  JSON lines
@@ -16,11 +16,14 @@ accepted inputs, the values and the error messages are those of ``json``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import secrets
 import shutil
+from collections import namedtuple
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -49,60 +52,78 @@ class DataError(ValueError):
     """Malformed or inconsistent data in a file; maps to CLI exit code 2."""
 
 
+# A stage is a temp file, or a temp dir holding a pose set, beside its target;
+# ``made`` lists the missing parents created for it.
+_Stage = namedtuple("_Stage", "tmp target pose_set made")
+# The stages of the outermost ``outputs()`` block running in this context.
+_COMMIT: ContextVar[list | None] = ContextVar("signsynth_outputs", default=None)
+
+
+@contextmanager
+def outputs() -> Iterator[None]:
+    """Publish what ``atomic_open`` and ``pose_set`` stage in the block as one
+    commit; if it raises, remove the stages and the parents made for them.
+    A nested block joins the enclosing one.  Every target is checked before
+    the first rename: a file must not replace a directory, a pose set must go
+    to a directory or a free name.  Pose sets go first, so a manifest never
+    names missing poses: renamed onto an absent or empty directory, else
+    moved in file by file.  Only the renames are a window: a crash among
+    them leaves the commit partly published."""
+    if _COMMIT.get() is not None:  # the enclosing block owns the commit
+        yield
+        return
+    stages: list[_Stage] = []
+    token = _COMMIT.set(stages)
+    try:
+        yield
+        _publish(stages)
+    except BaseException:
+        for tmp, _, pose_set, made in reversed(stages):
+            if pose_set:
+                shutil.rmtree(tmp, ignore_errors=True)
+            else:
+                tmp.unlink(missing_ok=True)
+            for parent in made:  # innermost first
+                try:
+                    parent.rmdir()
+                except OSError:  # no longer empty, or already gone
+                    break
+        raise
+    finally:
+        _COMMIT.reset(token)
+
+
+def _publish(stages: list[_Stage]) -> None:
+    for _, target, pose_set, _ in stages:  # every target, before the first rename
+        if (os.path.lexists(target) and not target.is_dir()) if pose_set else target.is_dir():
+            code = errno.ENOTDIR if pose_set else errno.EISDIR
+            raise OSError(code, os.strerror(code), str(target))
+    for tmp, target, pose_set, _ in sorted(stages, key=lambda stage: not stage.pose_set):
+        if pose_set and target.is_dir() and (target.is_symlink() or any(target.iterdir())):
+            for path in tmp.iterdir():  # replacing files of the same name
+                os.replace(path, target / path.name)
+            tmp.rmdir()
+        else:
+            os.replace(tmp, target)
+
+
+def _stage(target: Path, pose_set: bool = False) -> Path:
+    """A fresh temp name beside ``target``, registered with the active commit."""
+    made = [p for p in target.parents if not p.exists()] if pose_set else []
+    tmp = target.parent / f".{target.name}.{secrets.token_hex(8)}.tmp"
+    _COMMIT.get().append(_Stage(tmp, target, pose_set, made))
+    return tmp
+
+
 @contextmanager
 def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
-    """Stream a file into place: writes go to a temp file in the target
-    directory, which replaces ``path`` only if the block exits cleanly and is
-    removed otherwise.  ``mode`` is ``"w"`` (UTF-8 text) or ``"wb"``."""
-    path = Path(path)
-    # Exclusive create under a random name, as mkstemp does, but with mode
-    # 0o666 so the umask sets the permissions, as for a plain open().
-    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
+    """Stream ``path`` via a temp file staged beside it; ``mode`` is ``"w"`` (UTF-8) or ``"wb"``."""
+    with outputs():
+        tmp = _stage(Path(path))
         encoding = None if "b" in mode else "utf-8"
-        with os.fdopen(fd, mode, encoding=encoding, newline=newline) as fh:
+        # "x": an exclusive create, under the umask as for a plain open()
+        with open(tmp, mode.replace("w", "x"), encoding=encoding, newline=newline) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-@contextmanager
-def staged_dir(out_dir) -> Iterator[Path]:
-    """Yield an empty sibling temp dir whose files are published to
-    ``out_dir`` only if the block exits cleanly.
-
-    The stage is renamed onto ``out_dir`` when that is absent or an empty
-    directory; otherwise (a non-empty directory, or a symlink to one) each
-    staged file is moved in with ``os.replace``, overwriting files of the same
-    name and keeping the rest.  If the block raises, the stage is removed,
-    ``out_dir`` is not touched, and the missing parents of ``out_dir`` that
-    were created for the stage are removed while they are empty.
-    """
-    out_dir = Path(out_dir)
-    made = [p for p in out_dir.parents if not p.exists()]  # innermost first
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    stage = out_dir.parent / f".{out_dir.name}.{secrets.token_hex(8)}.tmp"
-    stage.mkdir()  # mode 0o777 under the umask, as a plain mkdir
-    try:
-        yield stage
-        if out_dir.is_dir() and (out_dir.is_symlink() or any(out_dir.iterdir())):
-            for path in stage.iterdir():
-                os.replace(path, out_dir / path.name)
-            stage.rmdir()
-        else:
-            os.replace(stage, out_dir)
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        for parent in made:
-            try:
-                parent.rmdir()
-            except OSError:  # no longer empty, or already gone
-                break
-        raise
 
 
 # Lines that orjson.loads reads differently from json.loads show up in one
@@ -216,18 +237,16 @@ def write_pose_file(path, seq: PoseSequence) -> None:
 
 @contextmanager
 def pose_set(out_dir) -> Iterator[Callable[[str, PoseSequence], str]]:
-    """Yield ``write(stem, seq)``, which creates ``<stem>.psp`` in a
-    ``staged_dir`` stage and returns its published path in ``out_dir``.  The
-    block's files reach ``out_dir`` as a set: all of them, or on error none.
-    A stem that ``check_file_stem`` rejects is a DataError before any file
-    is opened."""
+    """Yield ``write(stem, seq)``, which stages ``<stem>.psp`` beside ``out_dir``
+    for the ``outputs()`` commit and returns its published path.  A stem that
+    ``check_file_stem`` rejects is a DataError before any file is opened."""
     out_dir = Path(out_dir)
-    with staged_dir(out_dir) as stage:
+    with outputs():
+        stage = _stage(out_dir, pose_set=True)
+        stage.mkdir(parents=True)  # mode 0o777 under the umask, as a plain mkdir
 
         def write(stem: str, seq: PoseSequence) -> str:
             check_file_stem(stem)
-            # Fresh names in a private stage: a plain exclusive create is
-            # enough, since the stage is published as a whole.
             name = f"{stem}{POSE_FILE_SUFFIX}"
             with open(stage / name, "xb") as fh:
                 fh.write(encode_pose(seq))

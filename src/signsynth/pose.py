@@ -80,17 +80,26 @@ def _number(value) -> Optional[float]:
     return value if type(value) is float else None
 
 
+def _holds_bool(values, arr: np.ndarray) -> bool:
+    """Whether ``values``, read as the (N, 3) number array ``arr``, holds a
+    bool, which numpy reads as 1 or 0 among other numbers.  Only the places
+    where ``arr`` is exactly 0 or 1 are looked at."""
+    hits = np.flatnonzero((arr == 0) | (arr == 1)).tolist()
+    return any(type(values[i // 3][i % 3]) is bool for i in hits)
+
+
 def landmark_group(values, size: int, name: str) -> np.ndarray:
     """``size`` points of 3 finite numbers (x, y, confidence), confidences in
     [0, 1], as a read-only (size, 3) float32 array; else ValueError.  An
-    integer is judged by its value, as the same number written as a float."""
+    integer is judged by its value, as the same number written as a float; a
+    bool is not a number."""
     try:
         arr = np.array(values)
     except ValueError:  # ragged nesting
         arr = np.array(None)
     if arr.dtype == object:  # holds an int wider than 64 bits, or not numbers
         arr = np.array([_number(v) for v in arr.flat]).reshape(arr.shape)
-    if arr.shape != (size, 3) or arr.dtype.kind not in "iuf":
+    if arr.shape != (size, 3) or arr.dtype.kind not in "iuf" or _holds_bool(values, arr):
         raise ValueError(f"{name}: expected {size} points of 3 numbers [x, y, c]")
     with np.errstate(over="ignore"):  # beyond float32 becomes inf, rejected below
         arr = arr.astype(np.float32)

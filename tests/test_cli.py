@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import warnings
 from importlib import resources
@@ -610,6 +611,13 @@ class TestHostileJsonLines:
                 assert err == "signsynth: data error: PATH:1: body: contains non-finite values\n"
                 assert not out_dir.exists(), number
 
+    def test_json_true_coordinate(self, tmp_path, capsys, rng):
+        obj = self.frame_obj(rng)
+        obj["body"][0][0] = True
+        code, err = self.ingest_second_line(tmp_path, capsys, rng, json.dumps(obj))
+        assert code == 2
+        assert "PATH:2: body: expected 33 points of 3 numbers [x, y, c]" in err
+
     def test_extra_key_nested_5000_deep(self, tmp_path, capsys, rng):
         line = json.dumps(self.frame_obj(rng))[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}"
         code, err = self.ingest_second_line(tmp_path, capsys, rng, line)
@@ -982,3 +990,166 @@ class TestSmallerFixes:
         ]) == 2
         assert capsys.readouterr().err.startswith(f"signsynth: data error: {model_path}: ")
         assert not out.exists()
+
+
+def workspace_tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, hidden ones too, with a file's bytes (None
+    for a directory)."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+        for p in sorted(root.rglob("*"))
+    }
+
+
+class TestOneCommitPerCommand:
+    """A command that fails publishes none of its outputs, even when the
+    failure comes after its other outputs are complete."""
+
+    def test_stitch_out_manifest_dir_publishes_no_pose_file(self, tmp_path, capsys):
+        lex_dir = build_lexicon_dir(tmp_path, words=("boy", "can", "see"))
+        manifest = tmp_path / "sentences.jsonl"
+        write_manifest(manifest, [
+            SentenceRecord(id=f"s{i}", text=("boy", "can", "see")) for i in range(4)
+        ])
+        (tmp_path / "stitched.jsonl").mkdir()
+        before = workspace_tree(tmp_path)
+        assert cli([
+            "stitch", "--manifest", str(manifest), "--lexicon-dir", str(lex_dir),
+            "--out-dir", str(tmp_path / "poses"),
+            "--out-manifest", str(tmp_path / "stitched.jsonl"), "--target-mean", "40",
+        ]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert workspace_tree(tmp_path) == before
+
+    def test_gen_stats_dir_publishes_no_manifest(self, tmp_path, capsys):
+        (tmp_path / "stats").mkdir()
+        before = workspace_tree(tmp_path)
+        assert cli([
+            "gen", "--templates", data_path("toy_templates.tsv"),
+            "--lexicon", data_path("toy_slot_lexicon.jsonl"), "--limit", "2",
+            "--out", str(tmp_path / "m.jsonl"), "--stats", str(tmp_path / "stats"),
+        ]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert workspace_tree(tmp_path) == before
+
+    def test_stats_hist_csv_in_missing_dir_publishes_no_stats(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="r", text=("a", "b"))])
+        before = workspace_tree(tmp_path)
+        assert cli([
+            "stats", "--manifest", str(manifest), "--out", str(tmp_path / "stats.json"),
+            "--hist-csv", str(tmp_path / "missing" / "hist"),
+        ]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert workspace_tree(tmp_path) == before
+
+
+# The run_pipeline.sh chain on a small workspace, plus the ingest that builds
+# its lexicon.  Paths are relative to the workspace.
+_SWEEP_CHAIN = {
+    "gen": [
+        "--seed", "7", "gen", "--templates", data_path("toy_templates.tsv"),
+        "--lexicon", data_path("toy_slot_lexicon.jsonl"), "--limit", "1",
+        "--out", "template_sentences.jsonl", "--stats", "template_stats.json",
+    ],
+    "filter": [
+        "filter", "--in", "corpus.txt", "--text", "--vocab", "vocab.txt", "--min-rate", "0.5",
+        "--out", "corpus_matched.jsonl",
+    ],
+    "merge": [
+        "--seed", "7", "merge", "--in", "corpus_matched.jsonl", "--max-len", "8",
+        "--fraction", "0.9", "--group", "3", "--out", "corpus_merged.jsonl",
+    ],
+    "postprocess": [
+        "postprocess", "--in", "corpus_merged.jsonl", "--names", "names.txt", "--min-freq", "2",
+        "--count-extra", "template_sentences.jsonl", "--out", "corpus_final.jsonl",
+    ],
+    "ingest": ["ingest", "--raw-dir", "raw", "--out-dir", "lexicon"],
+    "stitch": [
+        "--seed", "7", "--skip-oov", "stitch", "--manifest", "template_sentences.jsonl",
+        "--lexicon-dir", "lexicon", "--out-dir", "poses", "--out-manifest", "stitched.jsonl",
+        "--target-mean", "6", "--jitter", "1,2",
+    ],
+    "sample": [
+        "--seed", "7", "sample", "--total-steps", "50", "--real-size", "10",
+        "--synth-size", "20", "--out", "schedule.csv",
+    ],
+    "tokenize train": [
+        "tokenize", "train", "--in", "stitched.jsonl", "--extra", "corpus_final.jsonl",
+        "--vocab-size", "60", "--model", "bpe.json",
+    ],
+    "tokenize encode": [
+        "tokenize", "encode", "--in", "stitched.jsonl", "--model", "bpe.json",
+        "--out", "encoded.jsonl",
+    ],
+    "eval": ["eval", "--in", "pairs.jsonl", "--out", "eval_report.json"],
+    "stats": [
+        "stats", "--manifest", "stitched.jsonl", "--out", "dataset_stats.json",
+        "--hist-csv", "hist",
+    ],
+}
+
+
+class TestFaultSweep:
+    """For each command of the chain and every k up to the count in a clean
+    run, a fault at the k-th pose encode, or at the k-th exclusive create of
+    a staged file, exits 2 and leaves the workspace tree as it was."""
+
+    def build_workspace(self, root: Path, rng) -> None:
+        (root / "raw").mkdir()
+        for word in ("this", "boy", "can", "see"):
+            write_raw_landmark_file(root / "raw" / f"{word}.jsonl", [random_raw_frame(rng)] * 2)
+        (root / "vocab.txt").write_text("this\nboy\ncan\nsee\nthat\n")
+        (root / "names.txt").write_text("Alice\n")
+        words = ["this", "boy", "can", "see", "that", "Alice", "zebra"]
+        (root / "corpus.txt").write_text("".join(
+            " ".join(words[(i + j) % len(words)] for j in range(1 + i % 4)) + "\n"
+            for i in range(12)
+        ))
+        (root / "pairs.jsonl").write_text("".join(
+            json.dumps({"candidate": c, "reference": "this boy can see"}) + "\n"
+            for c in ("this boy can see", "that boy can see")
+        ))
+
+    @staticmethod
+    def inject(monkeypatch, kind: str, k: int) -> list:
+        """Make the k-th call of the kind raise; return the calls seen."""
+        calls = []
+        real = io.encode_pose if kind == "encode" else open
+
+        def faulty(*args, **kwargs):
+            if kind == "encode" or args[1].startswith("x"):  # open's mode
+                calls.append(args[0])
+                if len(calls) == k:
+                    raise OSError(f"injected fault at {kind} call {k}")
+            return real(*args, **kwargs)
+
+        # A module global named "open" shadows the builtin inside signsynth.io.
+        monkeypatch.setattr(io, "encode_pose" if kind == "encode" else "open", faulty,
+                            raising=False)
+        return calls
+
+    def test_every_fault_leaves_the_workspace_unchanged(self, tmp_path, rng, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.build_workspace(tmp_path, rng)
+        faults = {}
+        for command, argv in _SWEEP_CHAIN.items():
+            for kind in ("encode", "open"):
+                for k in itertools.count(1):
+                    before = workspace_tree(tmp_path)
+                    with monkeypatch.context() as m:
+                        calls = self.inject(m, kind, k)
+                        code = cli(argv)
+                    if len(calls) < k:  # the fault was not reached: a clean run
+                        assert code == 0, argv
+                        break
+                    assert code == 2, (argv, kind, k)
+                    assert workspace_tree(tmp_path) == before, (argv, kind, k)
+                faults[command, kind] = k - 1
+        assert faults["ingest", "encode"] == faults["ingest", "open"] == 4
+        assert faults["stitch", "encode"] > 0
+        assert faults["stitch", "open"] == faults["stitch", "encode"] + 1
+        assert faults["gen", "open"] == 2 and faults["stats", "open"] == 3
+        assert all(n == 0 for (command, kind), n in faults.items()
+                   if kind == "encode" and command not in ("ingest", "stitch"))
+        assert all(n > 0 for (command, kind), n in faults.items() if kind == "open")

@@ -17,6 +17,7 @@ from signsynth.io import (
     check_file_stem,
     compute_stats,
     load_sign_lexicon,
+    outputs,
     pose_set,
     read_jsonl,
     read_lines,
@@ -25,7 +26,6 @@ from signsynth.io import (
     read_raw_landmark_file,
     read_text_corpus,
     read_word_list,
-    staged_dir,
     write_manifest,
     write_pose_file,
     write_raw_landmark_file,
@@ -394,56 +394,60 @@ class TestAtomicWrites:
         assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
-class TestStagedDir:
-    def test_publishes_new_dir_on_success(self, tmp_path):
+class TestPoseSetPublish:
+    """Where ``pose_set`` publishes its files, and what an error leaves."""
+
+    def test_publishes_new_dir_on_success(self, rng, tmp_path):
         out = tmp_path / "deep" / "out"
-        with staged_dir(out) as stage:
-            assert stage.parent == out.parent and not any(stage.iterdir())
-            (stage / "a.psp").write_bytes(b"a")
+        with pose_set(out) as write:
+            (stage,) = out.parent.iterdir()
+            assert stage.name.startswith(".out.") and not any(stage.iterdir())
+            write("a", random_sequence(rng))
             assert not out.exists()
         assert [p.name for p in out.iterdir()] == ["a.psp"]
         assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
 
-    def test_replaces_empty_dir_with_plain_permissions(self, tmp_path):
+    def test_replaces_empty_dir_with_plain_permissions(self, rng, tmp_path):
         plain = tmp_path / "plain"
         plain.mkdir()
         out = tmp_path / "out"
         out.mkdir()
-        with staged_dir(out) as stage:
-            (stage / "a.psp").write_bytes(b"a")
+        with pose_set(out) as write:
+            write("a", random_sequence(rng))
         assert [p.name for p in out.iterdir()] == ["a.psp"]
         assert out.stat().st_mode == plain.stat().st_mode
 
-    def test_moves_into_non_empty_dir(self, tmp_path):
+    def test_moves_into_non_empty_dir(self, rng, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         (out / "keep.txt").write_text("k")
         (out / "a.psp").write_bytes(b"old")
-        with staged_dir(out) as stage:
-            (stage / "a.psp").write_bytes(b"new")
-            (stage / "b.psp").write_bytes(b"b")
+        seq = random_sequence(rng)
+        with pose_set(out) as write:
+            write("a", seq)
+            write("b", random_sequence(rng))
         assert sorted(p.name for p in out.iterdir()) == ["a.psp", "b.psp", "keep.txt"]
-        assert (out / "a.psp").read_bytes() == b"new"
+        assert read_pose_file(out / "a.psp").frames.tobytes() == seq.frames.tobytes()
         assert (out / "keep.txt").read_text() == "k"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
-    def test_symlinked_empty_dir_stays_a_symlink(self, tmp_path):
+    def test_symlinked_empty_dir_stays_a_symlink(self, rng, tmp_path):
         target = tmp_path / "target"
         target.mkdir()
         out = tmp_path / "out"
         out.symlink_to(target)
-        with staged_dir(out) as stage:
-            (stage / "a.psp").write_bytes(b"a")
+        with pose_set(out) as write:
+            write("a", random_sequence(rng))
         assert out.is_symlink()
         assert [p.name for p in target.iterdir()] == ["a.psp"]
 
-    def test_error_removes_stage_and_leaves_out_dir(self, tmp_path):
+    def test_error_removes_stage_and_leaves_out_dir(self, rng, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         (out / "keep.txt").write_text("k")
         with pytest.raises(RuntimeError):
-            with staged_dir(out) as stage:
-                (stage / "a.psp").write_bytes(b"a")
+            with pose_set(out) as write:
+                write("a", random_sequence(rng))
                 raise RuntimeError("stitch failed")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
@@ -451,14 +455,63 @@ class TestStagedDir:
     def test_error_removes_the_empty_parents_it_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "out"
         with pytest.raises(RuntimeError):
-            with staged_dir(out):
+            with pose_set(out):
                 raise RuntimeError("ingest failed")
         assert not list(tmp_path.iterdir())
         with pytest.raises(RuntimeError):
-            with staged_dir(out):
+            with pose_set(out):
                 (tmp_path / "a" / "keep.txt").write_text("k")
                 raise RuntimeError("ingest failed")
         assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["keep.txt"]
+
+
+class TestOutputs:
+    """One commit for every output staged inside an ``outputs()`` block."""
+
+    def test_later_failing_stage_removes_earlier_pose_set(self, rng, tmp_path):
+        out = tmp_path / "deep" / "poses"
+        with pytest.raises(FileNotFoundError):
+            with outputs():
+                with pose_set(out) as write:
+                    write("a", random_sequence(rng))
+                write_manifest(tmp_path / "missing" / "m.jsonl", [])
+        assert not list(tmp_path.iterdir())
+
+    def test_publishes_pose_sets_first_when_the_block_ends(self, rng, tmp_path, monkeypatch):
+        renamed = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        with outputs():
+            write_manifest(tmp_path / "m.jsonl", [])
+            with pose_set(tmp_path / "poses") as write:
+                write("a", random_sequence(rng))
+            assert all(p.name.startswith(".") for p in tmp_path.iterdir())
+        assert renamed == ["poses", "m.jsonl"]
+
+    def test_file_onto_a_dir_publishes_nothing(self, rng, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with outputs():
+                with pose_set(tmp_path / "poses") as write:
+                    write("a", random_sequence(rng))
+                write_manifest(tmp_path / "taken", [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
+    def test_pose_set_onto_a_file_publishes_nothing(self, rng, tmp_path):
+        (tmp_path / "taken").write_text("x")
+        with pytest.raises(NotADirectoryError):
+            with outputs():
+                write_manifest(tmp_path / "m.jsonl", [])
+                with pose_set(tmp_path / "taken") as write:
+                    write("a", random_sequence(rng))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert (tmp_path / "taken").read_text() == "x"
 
 
 class TestPoseSet:

@@ -16,6 +16,7 @@ from signsynth.pose import (
     SELECTED_FACE_INDICES,
     SentenceRecord,
     default_selection,
+    landmark_group,
 )
 
 from .conftest import random_raw_frame
@@ -58,6 +59,19 @@ class TestRawLandmarkFrame:
                 left_hand=rng.random((21, 3)),
                 right_hand=rng.random((21, 3)),
             )
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_bool_among_numbers_is_a_shape_error(self, rng, value, column):
+        # numpy reads a bool among floats or ints as 1 or 0; it is no number
+        # here, as an all-bool group is not.
+        message = r"body: expected 33 points of 3 numbers \[x, y, c\]"
+        for points in (rng.random((33, 3)).tolist(), [[0, 1, 1] for _ in range(33)]):
+            points[5][column] = value
+            with pytest.raises(ValueError, match=message):
+                landmark_group(points, 33, "body")
+        with pytest.raises(ValueError, match=message):
+            landmark_group([[value] * 3 for _ in range(33)], 33, "body")
 
     def test_confidence_range_validation(self, rng):
         bad = rng.random((33, 3))
