@@ -229,7 +229,7 @@ def _cmd_tokenize(args) -> int:
     with io.atomic_open(args.out) as fh:
         for record in records:
             ids = bpe.encode(model, " ".join(record.text))
-            fh.write(json.dumps({"id": record.id, "ids": ids}) + "\n")
+            fh.write(io.encode_token_ids(record.id, ids) + "\n")
     print(f"tokenize encode: {len(records)} sentences -> {args.out}")
     return 0
 

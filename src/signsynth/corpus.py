@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .pose import SentenceRecord
@@ -81,7 +81,10 @@ def filter_corpus(
     folded = {w.lower() for w in vocab}
     for record in sentences:
         if match_rate(record.text, folded) > min_rate:
-            yield replace(record, phenomenon="corpus")
+            yield SentenceRecord(
+                record.id, record.text, "corpus",
+                record.word_order, record.pose_path, record.n_frames,
+            )
 
 
 def merge_short(
@@ -158,7 +161,14 @@ def replace_rare_and_names(
         return token
 
     return [
-        replace(record, text=tuple(substitute(tok) for tok in record.text))
+        SentenceRecord(
+            record.id,
+            tuple(substitute(tok) for tok in record.text),
+            record.phenomenon,
+            record.word_order,
+            record.pose_path,
+            record.n_frames,
+        )
         for record in sentences
     ]
 

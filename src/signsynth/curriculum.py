@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .io import atomic_open
 from .pose import PoseSequence
 from .seeds import derive_seed, derive_seeds, first_randoms
@@ -20,9 +22,13 @@ from .seeds import derive_seed, derive_seeds, first_randoms
 REAL = "real"
 SYNTHETIC = "synthetic"
 
-# Steps drawn together by write_schedule_csv: large enough to amortize the
-# per-call cost of the array kernel, small enough to keep its arrays in cache.
-_BLOCK = 4096
+# Steps drawn together by write_schedule_csv.  The fixed cost of each numpy
+# call in the seeding kernel dominates small blocks; cache effects do not show.
+# For the 60k steps of the paper's ramp (2-vCPU VM, numpy 2.4), first_randoms
+# took 0.20 s at 4096 and 0.13-0.15 s at 16384.  65536 (one block) took 0.10 s,
+# but its arrays added 3.7 MB of peak RSS against 1 MB at 16384: near the
+# benchmark's 10% peak_rss_mb bound on a 42 MB chain.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,12 @@ def write_schedule_csv(
             raise ValueError("dataset sizes must be >= 1")
         for start in range(0, total_steps, _BLOCK):
             steps = range(start, min(start + _BLOCK, total_steps))
-            rows = []
-            for step, u in zip(steps, first_randoms(derive_seeds(seed, steps)).tolist()):
-                frac = real_fraction(step, sched)
-                rows.append(f"{step},{frac:.6f},{REAL if u < frac else SYNTHETIC}\r\n")
-            fh.write("".join(rows))
+            fh.writelines(_csv_rows(steps, first_randoms(derive_seeds(seed, steps)), sched))
+
+
+def _csv_rows(steps: range, firsts: np.ndarray, sched: AnnealSchedule) -> Iterator[str]:
+    """The CSV row of each step, from the first ``random()`` of its generator;
+    a generator, so a block's rows are never all held at once."""
+    for step, u in zip(steps, firsts.tolist()):
+        frac = real_fraction(step, sched)
+        yield f"{step},{frac:.6f},{REAL if u < frac else SYNTHETIC}\r\n"

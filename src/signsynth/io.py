@@ -12,6 +12,13 @@ are parsed with ``orjson``.  A line that orjson would read differently from
 the stdlib ``json`` module (an integer beyond 64 bits, deep nesting), that it
 rejects, or that is not an object is read by ``json`` instead, so the
 accepted inputs, the values and the error messages are those of ``json``.
+
+A manifest line is written by ``encode_record`` from fixed keys, in the
+order ``id, text, phenomenon, word_order[, pose_path][, n_frames]``, with
+``", "`` and ``": "`` as separators and every non-ASCII character as a
+``\\u`` escape: the bytes ``json.dumps`` gives for that object.
+``record_from_json`` checks each field once, on exact JSON types, and builds
+the record without checking it again.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .pose import (
     PoseSequence,
     RawLandmarkFrame,
     SentenceRecord,
+    check_record,
     landmark_group,
 )
 from .stitch import SignLexicon
@@ -134,7 +142,7 @@ def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[I
 _ORJSON_GUARD = bytes.maketrans(b"0123456789{:-\t\n\v\f\r ", b"0000000000[,,,,,,,,")
 # orjson reads an integer beyond 64 bits as a float; json reads it exactly.
 # Every such integer is a token of 19 or more digits.
-_LONG_INT = (b"," + b"0" * 19, b"[" + b"0" * 19)
+_LONG_INT_ITEM, _LONG_INT_FIRST = b"," + b"0" * 19, b"[" + b"0" * 19
 # orjson has no nesting limit; json raises RecursionError near the
 # interpreter's recursion limit (1000 by default).  Fewer opening brackets
 # than this keep a line well below that.
@@ -145,7 +153,11 @@ def _orjson_object(line: str) -> dict | None:
     """``orjson.loads(line)`` when that is an object that json would read the
     same; otherwise None."""
     guard = line.encode("utf-8").translate(_ORJSON_GUARD)
-    if guard.count(b"[") >= _ORJSON_MAX_BRACKETS or any(run in guard for run in _LONG_INT):
+    if (
+        guard.count(b"[") >= _ORJSON_MAX_BRACKETS
+        or _LONG_INT_ITEM in guard
+        or _LONG_INT_FIRST in guard
+    ):
         return None
     try:
         obj = orjson.loads(line)
@@ -341,52 +353,75 @@ def write_raw_landmark_file(path, frames: Sequence[RawLandmarkFrame]) -> None:
 # --- manifests -----------------------------------------------------------------
 
 
-def record_to_json(record: SentenceRecord) -> dict:
-    obj: dict = {
-        "id": record.id,
-        "text": list(record.text),
-        "phenomenon": record.phenomenon,
-        "word_order": record.word_order,
-    }
+# json.dumps's own string encoder: the quoted string, with every non-ASCII
+# character, control character and lone surrogate as a \u escape.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def encode_record(record: SentenceRecord) -> str:
+    """One manifest line, without its newline, built from fixed keys: the
+    bytes ``json.dumps`` gives for the record's object, whose keys are
+    ``id, text, phenomenon, word_order[, pose_path][, n_frames]``, when each
+    field is of its declared type (a str, or an int for ``n_frames``)."""
+    line = (
+        f'{{"id": {_json_str(record.id)}, "text": [{", ".join(map(_json_str, record.text))}], '
+        f'"phenomenon": {_json_str(record.phenomenon)}, '
+        f'"word_order": {_json_str(record.word_order)}'
+    )
     if record.pose_path is not None:  # and so n_frames too
-        obj["pose_path"] = record.pose_path
+        line += f', "pose_path": {_json_str(record.pose_path)}'
     if record.n_frames is not None:
-        obj["n_frames"] = record.n_frames
-    return obj
+        line += f', "n_frames": {int.__repr__(record.n_frames)}'
+    return line + "}"
+
+
+def encode_token_ids(record_id: str, ids: Sequence[int]) -> str:
+    """One ``tokenize encode`` row, ``{"id": ..., "ids": [...]}``, as ``json.dumps`` writes it."""
+    return f'{{"id": {_json_str(record_id)}, "ids": [{", ".join(map(int.__repr__, ids))}]}}'
+
+
+def _is_str_list(value) -> bool:
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)  # one C-level pass; a TypeError unless every item is a str
+    except TypeError:
+        return False
+    return True
 
 
 def record_from_json(obj: dict) -> SentenceRecord:
+    """The record one manifest line holds, checked once.  JSON yields no
+    subclasses, so exact type checks suffice; then ``check_record`` runs and
+    the record is built without ``__post_init__`` running it again."""
     record_id, text = obj["id"], obj["text"]
     pose_path, n_frames = obj.get("pose_path"), obj.get("n_frames")
-    phenomenon = obj.get("phenomenon", "custom")
-    if not isinstance(record_id, str):
+    phenomenon, word_order = obj.get("phenomenon", "custom"), obj.get("word_order", "swo")
+    if type(record_id) is not str:
         raise ValueError(f"id must be a string, got {record_id!r}")
-    if not isinstance(text, list) or not all(isinstance(tok, str) for tok in text):
+    if not _is_str_list(text):
         raise ValueError(f"record {record_id!r}: text must be a list of strings")
-    if not isinstance(phenomenon, str):
+    if type(phenomenon) is not str:
         raise ValueError(f"record {record_id!r}: phenomenon must be a string")
-    if pose_path is not None and not isinstance(pose_path, str):
+    if pose_path is not None and type(pose_path) is not str:
         raise ValueError(f"record {record_id!r}: pose_path must be a string")
-    if n_frames is not None and (isinstance(n_frames, bool) or not isinstance(n_frames, int)):
+    if n_frames is not None and type(n_frames) is not int:  # JSON true is not an int
         raise ValueError(f"record {record_id!r}: n_frames must be an integer")
-    return SentenceRecord(
-        id=record_id,
-        text=tuple(text),
-        phenomenon=phenomenon,
-        word_order=obj.get("word_order", "swo"),
-        pose_path=pose_path,
-        n_frames=n_frames,
+    check_record(record_id, text, word_order, pose_path, n_frames)
+    return SentenceRecord.from_checked(
+        record_id, tuple(text), phenomenon, word_order, pose_path, n_frames
     )
 
 
 def write_manifest(path, records: Iterable[SentenceRecord]) -> None:
+    """One ``encode_record`` line per record; a repeated id is a DataError naming ``path``."""
     seen: set[str] = set()
     with atomic_open(path) as fh:
         for record in records:
             if record.id in seen:
-                raise DataError(f"duplicate record id {record.id!r}")
+                raise DataError(f"{path}: duplicate record id {record.id!r}")
             seen.add(record.id)
-            fh.write(json.dumps(record_to_json(record)) + "\n")
+            fh.write(encode_record(record) + "\n")
 
 
 def read_manifest(path) -> list[SentenceRecord]:

@@ -189,6 +189,19 @@ class PoseSequence:
 WORD_ORDERS = ("swo", "rwo")
 
 
+def check_record(record_id, text, word_order, pose_path, n_frames) -> None:
+    """The checks every SentenceRecord passes, in order: non-empty text, a
+    known word order, n_frames at least 1, and n_frames wherever pose_path is."""
+    if not text:
+        raise ValueError(f"record {record_id!r}: text must be non-empty")
+    if word_order not in WORD_ORDERS:
+        raise ValueError(f"record {record_id!r}: word_order must be one of {WORD_ORDERS}")
+    if n_frames is not None and n_frames < 1:
+        raise ValueError(f"record {record_id!r}: n_frames must be at least 1")
+    if pose_path is not None and n_frames is None:
+        raise ValueError(f"record {record_id!r}: pose_path set but n_frames missing")
+
+
 @dataclass(frozen=True)
 class SentenceRecord:
     """One manifest row: sentence text plus provenance and pose reference."""
@@ -202,14 +215,24 @@ class SentenceRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", tuple(self.text))
-        if not self.text:
-            raise ValueError(f"record {self.id!r}: text must be non-empty")
-        if self.word_order not in WORD_ORDERS:
-            raise ValueError(f"record {self.id!r}: word_order must be one of {WORD_ORDERS}")
-        if self.n_frames is not None and self.n_frames < 1:
-            raise ValueError(f"record {self.id!r}: n_frames must be at least 1")
-        if self.pose_path is not None and self.n_frames is None:
-            raise ValueError(f"record {self.id!r}: pose_path set but n_frames missing")
+        check_record(self.id, self.text, self.word_order, self.pose_path, self.n_frames)
+
+    @classmethod
+    def from_checked(
+        cls, record_id, text: tuple, phenomenon, word_order, pose_path, n_frames
+    ) -> "SentenceRecord":
+        """A record of fields that ``check_record`` has passed, ``text`` a
+        tuple; ``__post_init__`` does not run.  The fields are set one by one,
+        as ``__init__`` sets them, so records keep sharing their key table."""
+        record = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(record, "id", record_id)
+        set_field(record, "text", text)
+        set_field(record, "phenomenon", phenomenon)
+        set_field(record, "word_order", word_order)
+        set_field(record, "pose_path", pose_path)
+        set_field(record, "n_frames", n_frames)
+        return record
 
 
 def _validated_indices(indices, size: int, bound: int, name: str) -> tuple[int, ...]:

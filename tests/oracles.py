@@ -369,3 +369,48 @@ def read_jsonl_reference(path, parse):
             except (TypeError, ValueError) as exc:
                 raise ReferenceDataError(f"{path}:{lineno}: {exc}") from None
             yield lineno, value
+
+
+# --- manifest records ----------------------------------------------------------
+
+
+def record_to_json(record) -> dict:
+    """The JSON object of one manifest record; ``json.dumps`` of it is the line."""
+    obj: dict = {
+        "id": record.id,
+        "text": list(record.text),
+        "phenomenon": record.phenomenon,
+        "word_order": record.word_order,
+    }
+    if record.pose_path is not None:  # and so n_frames too
+        obj["pose_path"] = record.pose_path
+    if record.n_frames is not None:
+        obj["n_frames"] = record.n_frames
+    return obj
+
+
+def record_from_json(obj: dict, make_record):
+    """One manifest object checked field by field with ``isinstance``, then
+    passed to ``make_record`` (the record type, whose constructor makes the
+    remaining checks)."""
+    record_id, text = obj["id"], obj["text"]
+    pose_path, n_frames = obj.get("pose_path"), obj.get("n_frames")
+    phenomenon = obj.get("phenomenon", "custom")
+    if not isinstance(record_id, str):
+        raise ValueError(f"id must be a string, got {record_id!r}")
+    if not isinstance(text, list) or not all(isinstance(tok, str) for tok in text):
+        raise ValueError(f"record {record_id!r}: text must be a list of strings")
+    if not isinstance(phenomenon, str):
+        raise ValueError(f"record {record_id!r}: phenomenon must be a string")
+    if pose_path is not None and not isinstance(pose_path, str):
+        raise ValueError(f"record {record_id!r}: pose_path must be a string")
+    if n_frames is not None and (isinstance(n_frames, bool) or not isinstance(n_frames, int)):
+        raise ValueError(f"record {record_id!r}: n_frames must be an integer")
+    return make_record(
+        id=record_id,
+        text=tuple(text),
+        phenomenon=phenomenon,
+        word_order=obj.get("word_order", "swo"),
+        pose_path=pose_path,
+        n_frames=n_frames,
+    )

@@ -915,6 +915,17 @@ class TestSmallerFixes:
         )
         assert not out.exists()
 
+    def test_merged_id_that_repeats_an_id_names_the_output(self, tmp_path, capsys):
+        manifest = tmp_path / "in.jsonl"
+        ids = ("a", "b", "c", "a+b+c")
+        write_manifest(manifest, [SentenceRecord(id=i, text=("x",)) for i in ids])
+        out = tmp_path / "merged.jsonl"
+        assert cli(["merge", "--in", str(manifest), "--fraction", "1.0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {out}: duplicate record id 'a+b+c'\n"
+        )
+        assert not out.exists()
+
     def test_stats_rejects_n_frames_below_1(self, tmp_path, capsys):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text("".join(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -16,6 +17,8 @@ from signsynth.io import (
     atomic_open,
     check_file_stem,
     compute_stats,
+    encode_record,
+    encode_token_ids,
     load_sign_lexicon,
     outputs,
     pose_set,
@@ -26,12 +29,14 @@ from signsynth.io import (
     read_raw_landmark_file,
     read_text_corpus,
     read_word_list,
+    record_from_json,
     write_manifest,
     write_pose_file,
     write_raw_landmark_file,
 )
 from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
 
+from . import oracles
 from .conftest import random_raw_frame
 from .oracles import ReferenceDataError, read_jsonl_reference
 
@@ -289,6 +294,107 @@ class TestManifest:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "m.jsonl")
             write_manifest(path, records)
+            assert read_manifest(path) == records
+
+
+# Any code point: control characters, quotes and backslashes, astral
+# characters and lone surrogates, each drawn often enough to show up.
+_ANY_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x10000)
+    | st.sampled_from('"\\/\x7f\u2028'),
+    max_size=8,
+)
+_RECORDS = st.builds(
+    lambda record_id, text, phenomenon, word_order, pose_path, n_frames: SentenceRecord(
+        record_id, tuple(text), phenomenon, word_order,
+        None if n_frames is None else pose_path, n_frames,
+    ),
+    _ANY_TEXT,
+    st.lists(_ANY_TEXT, min_size=1, max_size=5),
+    _ANY_TEXT,
+    st.sampled_from(["swo", "rwo"]),
+    _ANY_TEXT,
+    st.none() | st.integers(1, 2**70),
+)
+# JSON values of every type, so that each field is sometimes of the wrong one.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ANY_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = {
+    "id": _ANY_TEXT,
+    "text": st.lists(_ANY_TEXT | st.sampled_from(["", "a"]), max_size=4),
+    "phenomenon": _ANY_TEXT,
+    "word_order": st.sampled_from(["swo", "rwo", "SWO"]),
+    "pose_path": st.none() | _ANY_TEXT,
+    "n_frames": st.none() | st.integers(-2, 2**70),
+}
+
+
+@st.composite
+def _manifest_objects(draw) -> dict:
+    """A manifest object whose keys may be missing and whose values are
+    mostly of the right type, sometimes of any JSON type."""
+    obj = {}
+    for key, right in _FIELDS.items():
+        kind = draw(st.integers(0, 19))
+        if kind > 0:  # else the key is missing
+            obj[key] = draw(_JSON_VALUES if kind < 4 else right)
+    return obj
+
+
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _no_surrogate_pair(record) -> bool:
+    """A high surrogate followed by a low one is written as the two escapes
+    of a surrogate pair, which every JSON reader reads back as one character."""
+    fields = [record.id, *record.text, record.phenomenon, record.pose_path or ""]
+    return not any(_SURROGATE_PAIR.search(field) for field in fields)
+
+
+def _decoded(decode, obj):
+    try:
+        record = decode(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert type(record.text) is tuple
+    return record
+
+
+class TestManifestCodec:
+    """The fixed-key encoder and the validate-once decoder against the
+    ``json.dumps`` / ``isinstance`` references in ``tests/oracles.py``."""
+
+    @given(_RECORDS)
+    @settings(max_examples=150, deadline=None)
+    def test_encode_record_equals_json_dumps(self, record):
+        assert encode_record(record) == json.dumps(oracles.record_to_json(record))
+
+    @given(_ANY_TEXT, st.lists(st.integers(0, 2**70), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_encode_token_ids_equals_json_dumps(self, record_id, ids):
+        assert encode_token_ids(record_id, ids) == json.dumps({"id": record_id, "ids": ids})
+
+    @given(_manifest_objects())
+    @settings(max_examples=300, deadline=None)
+    def test_record_from_json_equals_reference(self, obj):
+        want = _decoded(lambda o: oracles.record_from_json(o, SentenceRecord), obj)
+        assert _decoded(record_from_json, obj) == want
+
+    @given(st.lists(_RECORDS.filter(_no_surrogate_pair), max_size=4, unique_by=lambda r: r.id))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_any_unicode(self, records):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.jsonl")
+            write_manifest(path, records)
+            with open(path, "rb") as fh:
+                assert fh.read().isascii()
             assert read_manifest(path) == records
 
 
