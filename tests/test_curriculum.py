@@ -157,13 +157,19 @@ schedules = st.builds(
 )
 
 
+# Step counts at the edges of a block, and around 4096 steps, which fall inside
+# the first block unless _BLOCK is 4096 or smaller.
+_STEP_CASES = sorted({
+    0, 1, 4095, 4096, 4097,
+    curriculum._BLOCK - 1, curriculum._BLOCK, curriculum._BLOCK + 1,
+})
+
+
 class TestScheduleCsvMatchesDraw:
     """write_schedule_csv computes its rows a block of steps at a time; each
     row must still be the one draw() gives for its step."""
 
-    @pytest.mark.parametrize("total_steps", [
-        0, 1, curriculum._BLOCK - 1, curriculum._BLOCK, curriculum._BLOCK + 1,
-    ])
+    @pytest.mark.parametrize("total_steps", _STEP_CASES)
     @given(sched=schedules, seed=st.integers(-(2**70), 2**70))
     @settings(max_examples=5, deadline=None)
     def test_rows_equal_draws(self, tmp_path_factory, total_steps, sched, seed):
@@ -175,7 +181,9 @@ class TestScheduleCsvMatchesDraw:
         ]
         assert path.read_bytes() == "".join(want).encode()
 
-    @pytest.mark.parametrize("total_steps", [-1, 0, 1, curriculum._BLOCK + 1])
+    @pytest.mark.parametrize(
+        "total_steps", sorted({-1, 0, 1, 4097, curriculum._BLOCK + 1})
+    )
     @pytest.mark.parametrize("sizes", [(0, 5), (5, 0), (0, -1)])
     def test_invalid_sizes_raise_only_with_steps(self, tmp_path, total_steps, sizes):
         path = tmp_path / "schedule.csv"
