@@ -182,9 +182,6 @@ def _cmd_stitch(args) -> int:
     lex = io.load_sign_lexicon(args.lexicon_dir)
     cfg = stitch.StitchConfig(args.word_order, jitter_strides=args.jitter,
                               crossfade_frames=args.crossfade_frames, seed=args.seed)
-    if args.target_mean_frames is None:
-        flag = SETTINGS["target_mean_frames"].flag
-        raise UsageError(f"{flag} is required (or target_mean_frames in --config)")
 
     with io.pose_set(args.out_dir) as write_pose:
         result = stitch.stitch_dataset(
@@ -374,6 +371,8 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config) if args.config else {}
         for name, s in SETTINGS.items():  # flag > config > default
             if s.command == args.command and getattr(args, name) is None:
+                if name not in config and s.default is None:
+                    raise UsageError(f"{s.flag} is required (or {name} in --config)")
                 setattr(args, name, s.type(config[name]) if name in config else s.default)
         with io.outputs():  # one commit for all of the command's outputs
             return args.func(args)

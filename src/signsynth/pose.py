@@ -9,7 +9,9 @@ vector with the canonical layout::
 
 with each keypoint contributing adjacent (x, y) values and indices ascending
 within each group.  All types are immutable values (backing arrays are
-read-only copies), so they are safe to share across threads.
+read-only copies), so they are safe to share across threads, and each checks
+its fields when it is built: a ``SentenceRecord`` holds only what a manifest
+line can carry.
 """
 
 from __future__ import annotations
@@ -189,22 +191,19 @@ class PoseSequence:
 WORD_ORDERS = ("swo", "rwo")
 
 
-def check_record(record_id, text, word_order, pose_path, n_frames) -> None:
-    """The checks every SentenceRecord passes, in order: non-empty text, a
-    known word order, n_frames at least 1, and n_frames wherever pose_path is."""
-    if not text:
-        raise ValueError(f"record {record_id!r}: text must be non-empty")
-    if word_order not in WORD_ORDERS:
-        raise ValueError(f"record {record_id!r}: word_order must be one of {WORD_ORDERS}")
-    if n_frames is not None and n_frames < 1:
-        raise ValueError(f"record {record_id!r}: n_frames must be at least 1")
-    if pose_path is not None and n_frames is None:
-        raise ValueError(f"record {record_id!r}: pose_path set but n_frames missing")
+def _all_str(items) -> bool:
+    try:
+        "".join(items)  # one C-level pass; a TypeError unless every item is a str
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
 class SentenceRecord:
-    """One manifest row: sentence text plus provenance and pose reference."""
+    """One manifest row: sentence text plus provenance and pose reference.
+    Every field is checked here (``text`` a list or tuple of str, kept as a
+    tuple; ``n_frames`` an int, not a bool), so any record can be written."""
 
     id: str
     text: tuple[str, ...]
@@ -214,25 +213,26 @@ class SentenceRecord:
     n_frames: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "text", tuple(self.text))
-        check_record(self.id, self.text, self.word_order, self.pose_path, self.n_frames)
-
-    @classmethod
-    def from_checked(
-        cls, record_id, text: tuple, phenomenon, word_order, pose_path, n_frames
-    ) -> "SentenceRecord":
-        """A record of fields that ``check_record`` has passed, ``text`` a
-        tuple; ``__post_init__`` does not run.  The fields are set one by one,
-        as ``__init__`` sets them, so records keep sharing their key table."""
-        record = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(record, "id", record_id)
-        set_field(record, "text", text)
-        set_field(record, "phenomenon", phenomenon)
-        set_field(record, "word_order", word_order)
-        set_field(record, "pose_path", pose_path)
-        set_field(record, "n_frames", n_frames)
-        return record
+        record_id, text, n_frames = self.id, self.text, self.n_frames
+        if not isinstance(record_id, str):
+            raise ValueError(f"id must be a string, got {record_id!r}")
+        if not isinstance(text, (list, tuple)) or not _all_str(text):
+            raise ValueError(f"record {record_id!r}: text must be a list of strings")
+        if not isinstance(self.phenomenon, str):
+            raise ValueError(f"record {record_id!r}: phenomenon must be a string")
+        if self.pose_path is not None and not isinstance(self.pose_path, str):
+            raise ValueError(f"record {record_id!r}: pose_path must be a string")
+        if n_frames is not None and (isinstance(n_frames, bool) or not isinstance(n_frames, int)):
+            raise ValueError(f"record {record_id!r}: n_frames must be an integer")
+        if not text:
+            raise ValueError(f"record {record_id!r}: text must be non-empty")
+        if self.word_order not in WORD_ORDERS:
+            raise ValueError(f"record {record_id!r}: word_order must be one of {WORD_ORDERS}")
+        if n_frames is not None and n_frames < 1:
+            raise ValueError(f"record {record_id!r}: n_frames must be at least 1")
+        if self.pose_path is not None and n_frames is None:
+            raise ValueError(f"record {record_id!r}: pose_path set but n_frames missing")
+        object.__setattr__(self, "text", tuple(text))
 
 
 def _validated_indices(indices, size: int, bound: int, name: str) -> tuple[int, ...]:

@@ -836,6 +836,18 @@ class TestConfigSettings:
         (value,) = reached.value.args
         assert value == expected and type(value) is kind
 
+    @pytest.mark.parametrize("bad_input", ["manifest", "lexicon_dir"])
+    def test_required_setting_is_checked_before_inputs(self, tmp_path, capsys, bad_input):
+        argv = self.command_argv(tmp_path, "stitch")
+        if bad_input == "manifest":
+            (tmp_path / "m.jsonl").write_text('{"id": 5}\n')  # missing key 'text'
+        else:
+            (tmp_path / "empty").mkdir()  # no .psp files found
+            argv[argv.index("--lexicon-dir") + 1] = str(tmp_path / "empty")
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "--target-mean is required (or target_mean_frames in --config)" in err
+
     @pytest.mark.parametrize("command", [
         "gen", "filter", "merge", "postprocess", "ingest", "stitch", "sample", "tokenize",
         "eval", "stats",

@@ -337,12 +337,12 @@ _FIELDS = {
 
 
 @st.composite
-def _manifest_objects(draw) -> dict:
-    """A manifest object whose keys may be missing and whose values are
-    mostly of the right type, sometimes of any JSON type."""
+def _manifest_objects(draw, every_key: bool = False) -> dict:
+    """A manifest object whose keys may be missing (unless ``every_key``) and
+    whose values are mostly of the right type, sometimes of any JSON type."""
     obj = {}
     for key, right in _FIELDS.items():
-        kind = draw(st.integers(0, 19))
+        kind = draw(st.integers(int(every_key), 19))
         if kind > 0:  # else the key is missing
             obj[key] = draw(_JSON_VALUES if kind < 4 else right)
     return obj
@@ -368,8 +368,9 @@ def _decoded(decode, obj):
 
 
 class TestManifestCodec:
-    """The fixed-key encoder and the validate-once decoder against the
-    ``json.dumps`` / ``isinstance`` references in ``tests/oracles.py``."""
+    """The fixed-key encoder, the decoder and the record's own field checks
+    against the ``json.dumps`` / ``isinstance`` references in
+    ``tests/oracles.py``."""
 
     @given(_RECORDS)
     @settings(max_examples=150, deadline=None)
@@ -386,6 +387,15 @@ class TestManifestCodec:
     def test_record_from_json_equals_reference(self, obj):
         want = _decoded(lambda o: oracles.record_from_json(o, SentenceRecord), obj)
         assert _decoded(record_from_json, obj) == want
+
+    @given(_manifest_objects(every_key=True))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_builds_only_writable_records(self, fields):
+        want = _decoded(lambda o: oracles.record_from_json(o, SentenceRecord), fields)
+        record = _decoded(lambda o: SentenceRecord(**o), fields)
+        assert record == want
+        if isinstance(record, SentenceRecord):
+            assert encode_record(record) == json.dumps(oracles.record_to_json(record))
 
     @given(st.lists(_RECORDS.filter(_no_surrogate_pair), max_size=4, unique_by=lambda r: r.id))
     @settings(max_examples=50, deadline=None)

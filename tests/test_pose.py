@@ -133,6 +133,24 @@ class TestSentenceRecord:
         record = SentenceRecord(id="x", text=("hi",), pose_path="x.psp", n_frames=3)
         assert record.n_frames == 3
 
+    # Each record here could not be written to a manifest and read back; the
+    # messages are those of ``tests/oracles.py::record_from_json``.
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("a", ("x",)), {"pose_path": "p.psp", "n_frames": True},
+         "record 'a': n_frames must be an integer"),
+        ((5, ("x",)), {}, "id must be a string, got 5"),
+        (("a", "xy"), {}, "record 'a': text must be a list of strings"),
+        (("a", ("x", 1)), {}, "record 'a': text must be a list of strings"),
+        (("a", ("x",)), {"phenomenon": None}, "record 'a': phenomenon must be a string"),
+        (("a", ("x",)), {"pose_path": 1, "n_frames": 2}, "record 'a': pose_path must be a string"),
+        (("a", ("x",)), {"n_frames": 2.0}, "record 'a': n_frames must be an integer"),
+    ], ids=["n_frames_bool", "id_int", "text_str", "text_item_int", "phenomenon_none",
+            "pose_path_int", "n_frames_float"])
+    def test_rejects_fields_a_manifest_cannot_carry(self, args, kwargs, message):
+        with pytest.raises(ValueError) as excinfo:
+            SentenceRecord(*args, **kwargs)
+        assert str(excinfo.value) == message
+
 
 class TestKeypointSelection:
     def test_rejects_unsorted(self):
