@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signsynth", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_count(1), default=1,
                         help="accepted for compatibility; every stage runs in one thread")
     parser.add_argument("--skip-oov", action="store_true",
                         help="stitch a sentence without its out-of-lexicon tokens; by "

@@ -14,6 +14,11 @@ are parsed with ``orjson``.  A line that orjson would read differently from
 the stdlib ``json`` module (an integer beyond 64 bits, deep nesting), that it
 rejects, or that is not an object is read by ``json`` instead, so the
 accepted inputs, the values and the error messages are those of ``json``.
+``read_raw_landmark_file`` decodes a canonical frame line in one pass
+(``_plain_frame``): its only strings are the four group keys, every value is
+written with a ``.``, and it holds the four groups at their sizes of
+3-number points, finite, with confidences in [0, 1].  Every other line
+takes the ``read_jsonl`` path, which alone gives its values and every error.
 
 A manifest line is written by ``encode_record`` from fixed keys, in the
 order ``id, text, phenomenon, word_order[, pose_path][, n_frames]``, with
@@ -34,6 +39,7 @@ import shutil
 from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -145,9 +151,10 @@ _ORJSON_GUARD = bytes.maketrans(b"0123456789{:-\t\n\v\f\r ", b"0000000000[,,,,,,
 # orjson reads an integer beyond 64 bits as a float; json reads it exactly.
 # Every such integer is a token of 19 or more digits.
 _LONG_INT_ITEM, _LONG_INT_FIRST = b"," + b"0" * 19, b"[" + b"0" * 19
-# orjson has no nesting limit; json raises RecursionError near the
-# interpreter's recursion limit (1000 by default).  Fewer opening brackets
-# than this keep a line well below that.
+# orjson has no nesting limit (at a million levels 3.8.3 overflows its stack
+# and kills the process); json raises RecursionError near the interpreter's
+# recursion limit (1000 by default).  Fewer opening brackets than this keep a
+# line well below that.
 _ORJSON_MAX_BRACKETS = 768
 
 
@@ -203,18 +210,18 @@ def read_lines(path, parse: Callable[[str], T | None]) -> Iterator[tuple[int, T]
                 yield lineno, value
 
 
+def _json_line(line: str, parse: Callable[[dict], T | None]) -> T | None:
+    obj = _orjson_object(line)
+    if obj is None:
+        obj = _json_object(line)
+    return None if obj is None else parse(obj)
+
+
 def read_jsonl(path, parse: Callable[[dict], T | None]) -> Iterator[tuple[int, T]]:
     """``read_lines`` over JSON lines: ``parse`` gets each non-blank line's
     JSON object.  Invalid JSON or a non-object line is a DataError too.
     Lines are parsed as ``json.loads`` parses them (see the module notes)."""
-
-    def json_line(line: str) -> T | None:
-        obj = _orjson_object(line)
-        if obj is None:
-            obj = _json_object(line)
-        return None if obj is None else parse(obj)
-
-    return read_lines(path, json_line)
+    return read_lines(path, lambda line: _json_line(line, parse))
 
 
 def check_file_stem(name: str) -> None:
@@ -335,11 +342,65 @@ def _raw_frame(obj: dict) -> np.ndarray:
     )
 
 
+_FRAME_POINTS = sum(LANDMARK_GROUPS.values())  # 543
+_FRAME_VALUES = 3 * _FRAME_POINTS
+# The bytes '"', '.' and '[' that a canonical frame line holds.
+_FRAME_MARKS, _FRAME_MARK_COUNTS = b'".[', [8, _FRAME_VALUES, 4 + _FRAME_POINTS]
+
+
+# Why a line that _plain_frame accepts reads exactly as json and
+# landmark_group read it:
+# - its 8 quotes are the four group keys, so no value is a string and no key
+#   is repeated or extra; so too a point of 3 items is a list;
+# - a JSON number holds at most one '.', so 1629 dots over the 1629 values
+#   make every value a number with a '.': no int, bool or null.  orjson reads
+#   such a token as the same float as json (tests/test_io.py checks this);
+# - a list or dict value makes np.fromiter raise, and the line falls back;
+# - its 547 '[' are the 4 groups and the 543 points, so orjson never meets
+#   deep nesting, which _orjson_object keeps from it on other lines.
+def _plain_frame(line: str) -> np.ndarray | None:
+    """The (543, 3) float32 frame of a canonical frame line, decoded in one
+    pass; else None, and the line takes ``_json_line`` and ``_raw_frame``,
+    which alone give the values of other lines and every error."""
+    codes = np.frombuffer(line.encode(), np.uint8)  # in UTF-8 an ASCII byte is a character
+    if [np.count_nonzero(codes == mark) for mark in _FRAME_MARKS] != _FRAME_MARK_COUNTS:
+        return None
+    try:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return None
+    if type(obj) is not dict or obj.keys() != LANDMARK_GROUPS.keys():
+        return None
+    points: list = []
+    for name, size in LANDMARK_GROUPS.items():
+        group = obj[name]
+        if type(group) is not list or len(group) != size:
+            return None
+        points += group
+    try:
+        if set(map(len, points)) != {3}:
+            return None
+        values = np.fromiter(chain.from_iterable(points), np.float64, _FRAME_VALUES)
+    except (TypeError, ValueError):  # a point or value that is not a list or number
+        return None
+    with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
+        frame = values.astype(np.float32).reshape(_FRAME_POINTS, 3)
+    if not np.isfinite(frame).all() or frame[:, 2].min() < 0.0 or frame[:, 2].max() > 1.0:
+        return None
+    return frame
+
+
+def _raw_line(line: str) -> np.ndarray | None:
+    frame = _plain_frame(line)
+    return _json_line(line, _raw_frame) if frame is None else frame
+
+
 def read_raw_landmark_file(path) -> np.ndarray:
     """JSON lines, one frame per line with body/face/left_hand/right_hand
     lists of [x, y, confidence] points.  Returns the clip as one (T, 543, 3)
-    float32 array in canonical group order."""
-    frames = [frame for _, frame in read_jsonl(path, _raw_frame)]
+    float32 array in canonical group order.  A canonical line is decoded in
+    one pass (``_plain_frame``); any other reads as ``read_jsonl`` reads it."""
+    frames = [frame for _, frame in read_lines(path, _raw_line)]
     if not frames:
         raise DataError(f"{path}: no frames")
     return np.stack(frames)

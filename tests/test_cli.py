@@ -916,6 +916,15 @@ class TestSmallerFixes:
         assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_is_usage_error(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="s1", text=("a",))])
+        out = tmp_path / "stats.json"
+        assert cli(["--jobs", jobs, "stats", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_len", ["0", "-5"])
     def test_merge_rejects_max_len_below_1(self, tmp_path, capsys, max_len):
         manifest = tmp_path / "in.jsonl"

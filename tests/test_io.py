@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import decimal
 import json
+import math
 import os
 import re
 import struct
 import tempfile
+import types
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signsynth import bpe, cli, curriculum, templates
+from signsynth import bpe, cli, curriculum, io, templates
 from signsynth.io import (
     DataError,
     atomic_open,
@@ -34,7 +38,7 @@ from signsynth.io import (
     write_pose_file,
     write_raw_landmark_file,
 )
-from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
+from signsynth.pose import FRAME_DIM, LANDMARK_GROUPS, PoseSequence, RawLandmarkFrame, SentenceRecord
 
 from . import oracles
 from .conftest import random_raw_frame
@@ -818,3 +822,226 @@ class TestReadJsonl:
         monkeypatch.setattr(json, "loads", refuse)
         again = read_raw_landmark_file(path)
         assert again.tobytes() == np.stack([f.stacked() for f in frames]).astype(np.float32).tobytes()
+
+
+# --- the one-pass decode of canonical raw frames ---------------------------------
+
+_EXACT = decimal.Context(prec=1000)  # enough for every midpoint between doubles
+
+
+def _halfway_token(base: float, steps: int, digits: int | None, sign: str) -> str:
+    """The midpoint between the double ``steps`` doubles from ``base`` (up
+    when positive) and the next double up, in exponent form with ``digits``
+    digits after the point (exactly when None)."""
+    d = base
+    for _ in range(abs(steps)):
+        d = math.nextafter(d, math.copysign(math.inf, steps))
+    mid = _EXACT.add(decimal.Decimal(d), _EXACT.divide(decimal.Decimal(math.ulp(d)), 2))
+    return sign + (format(mid, "e") if digits is None else format(mid, f".{digits}e"))
+
+
+_DBL_MAX = 1.7976931348623157e308
+_SIGN = st.sampled_from(["", "-"])
+_EXPONENT = st.builds(
+    lambda e, sign, zeros, value: f"{e}{sign}{'0' * zeros}{value}",
+    st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 400),
+)
+_INTEGER_PART = st.just("0") | st.builds(
+    str.__add__, st.sampled_from("123456789"), st.text("0123456789", max_size=38)
+)
+_DECIMAL_TOKENS = st.builds(
+    lambda sign, integer, fraction, exponent: f"{sign}{integer}.{fraction[:40 - len(integer)]}{exponent}",
+    _SIGN, _INTEGER_PART, st.text("0123456789", min_size=1, max_size=39), st.just("") | _EXPONENT,
+)
+_HALFWAY_TOKENS = st.builds(
+    lambda base_steps, digits, sign: _halfway_token(*base_steps, digits, sign),
+    st.one_of(  # the smallest subnormals, either side of the smallest normal, the largest doubles
+        st.tuples(st.just(0.0), st.integers(0, 24)),
+        st.tuples(st.just(2.0**-1022), st.integers(-24, 24)),
+        st.tuples(st.just(_DBL_MAX), st.integers(-24, 0)),
+    ),
+    st.none() | st.integers(1, 40),
+    _SIGN,
+)
+
+
+# Replacements for one value token of a canonical frame line.
+_VALUE_MUTATIONS = [
+    "1", "0", "12345678901234567890", "true", "null", '"0.5"', "NaN", "1.0e400", "1.0e39", "1e-05",
+]
+_CONFIDENCE_MUTATIONS = ["-0.0", "1.0000001", "-0.5"]
+_OTHER_MUTATIONS = [
+    "none", "point2", "point4", "moved_value", "nested_point", "nested_value",
+    "extra_key", "missing_key", "duplicate_key", "escaped_key", "invalid_utf8",
+]
+_MUTATIONS = _VALUE_MUTATIONS + _CONFIDENCE_MUTATIONS + _OTHER_MUTATIONS
+
+
+class TestRawFrameFastPath:
+    """``io._plain_frame`` decodes a canonical frame line in one pass; every
+    other line takes the ``read_jsonl`` path and ``io._raw_frame``."""
+
+    @given(_DECIMAL_TOKENS | _HALFWAY_TOKENS)
+    @settings(max_examples=500, deadline=None)
+    def test_orjson_reads_a_dotted_number_as_json_does(self, token):
+        # The premise that lets a canonical line skip the orjson guard.
+        assert "." in token
+        try:
+            got = orjson.loads(token)
+        except orjson.JSONDecodeError:  # beyond DBL_MAX; the line falls back to json
+            return
+        assert type(got) is float and got.hex() == json.loads(token).hex()
+
+    def test_halfway_tokens_are_exact_midpoints(self):
+        # Written exactly, a midpoint rounds to the neighbour with an even mantissa.
+        assert json.loads(_halfway_token(0.0, 0, None, "")) == 0.0
+        assert json.loads(_halfway_token(2.0**-1022, 0, None, "")) == 2.0**-1022
+        assert json.loads(_halfway_token(_DBL_MAX, 0, None, "")) == math.inf
+
+    @staticmethod
+    def edge_frames(rng) -> list[RawLandmarkFrame]:
+        frames = []
+        for _ in range(3):
+            stacked = random_raw_frame(rng).stacked().astype(np.float64)
+            stacked[:40, :2] = rng.choice([0.0, 1.0, -0.25, -3.5, -0.0], size=(40, 2))
+            stacked[40:60, 2] = rng.choice([0.0, 1.0], size=20)
+            left = slice(33 + 468, 33 + 468 + 21)
+            stacked[left, 2] = 0.0  # a hand with no confidence at all
+            frames.append(RawLandmarkFrame.from_stacked(stacked))
+        return frames
+
+    def test_canonical_frames_never_reach_the_slow_path(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "w.jsonl"
+        frames = self.edge_frames(rng)
+        write_raw_landmark_file(path, frames)
+
+        def refuse(*args):
+            raise AssertionError("a canonical frame took the slow path")
+
+        monkeypatch.setattr(io, "_raw_frame", refuse)
+        monkeypatch.setattr(io, "landmark_group", refuse)
+        again = read_raw_landmark_file(path)
+        assert again.shape == (3, 543, 3)
+        assert again.tobytes() == np.stack([f.stacked() for f in frames]).tobytes()
+
+    def test_a_number_without_a_dot_reads_through_the_fallback(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "w.jsonl"
+        frames = self.edge_frames(rng)
+        objs = [{name: getattr(f, name).tolist() for name in LANDMARK_GROUPS} for f in frames]
+        objs[1]["face"][7][1] = "MARK"
+        path.write_text("".join(json.dumps(o).replace('"MARK"', "1e-05") + "\n" for o in objs))
+        calls = []
+        slow = io._raw_frame
+        monkeypatch.setattr(io, "_raw_frame", lambda obj: calls.append(1) or slow(obj))
+        expected = np.stack([f.stacked() for f in frames])
+        expected[1, 33 + 7, 1] = np.float32(1e-05)
+        assert read_raw_landmark_file(path).tobytes() == expected.tobytes()
+        assert len(calls) == 1
+
+    def test_layout_variants_read_the_same(self, rng, tmp_path):
+        frames = [random_raw_frame(rng) for _ in range(3)]
+        objs = [{name: getattr(f, name).tolist() for name in LANDMARK_GROUPS} for f in frames]
+        names = list(LANDMARK_GROUPS)
+        shuffled = [{n: o[n] for n in rng.permutation(names)} for o in objs]
+        default = [json.dumps(o) for o in objs]
+        layouts = {
+            "default": "\n".join(default) + "\n",
+            "compact": "".join(json.dumps(o, separators=(",", ":")) + "\n" for o in objs),
+            "shuffled": "".join(json.dumps(o) + "\n" for o in shuffled),
+            "crlf": "\r\n".join(default) + "\r\n",
+            "blank": default[0] + "\n\n" + "\n".join(default[1:]) + "\n",
+        }
+        assert len(set(layouts.values())) == len(layouts)
+        read = {}
+        for name, text in layouts.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(text.encode("ascii"))
+            clip = read_raw_landmark_file(path)
+            read[name] = (clip.shape, clip.tobytes())
+        assert set(read.values()) == {((3, 543, 3), np.stack([f.stacked() for f in frames]).tobytes())}
+
+    def test_deep_nesting_never_reaches_orjson(self, rng, tmp_path, monkeypatch):
+        # Quotes and dots as in a canonical line, but one value nested 5000 deep.
+        obj = {name: getattr(random_raw_frame(rng), name).tolist() for name in LANDMARK_GROUPS}
+        obj["face"][3][0] = "MARK"
+        path = tmp_path / "w.jsonl"
+        path.write_text(json.dumps(obj).replace('"MARK"', "[" * 5000 + "0.5" + "]" * 5000) + "\n")
+
+        def loads(line):
+            assert line.count("[") + line.count("{") < 768, "orjson.loads on a deeply nested line"
+            return orjson.loads(line)
+
+        monkeypatch.setattr(io, "orjson", types.SimpleNamespace(
+            loads=loads, JSONDecodeError=orjson.JSONDecodeError,
+        ))
+        with pytest.raises(DataError, match=":1: invalid JSON"):
+            read_raw_landmark_file(path)
+
+    @pytest.mark.parametrize("mutation", _MUTATIONS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_json_only_reader(self, mutation, data):
+        clip = data.draw(_mutated_clips(mutation))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "w.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(clip)
+            assert _clip_outcome(read_raw_landmark_file, path, DataError) == _clip_outcome(
+                lambda p: np.stack([f for _, f in read_jsonl_reference(p, io._raw_frame)]),
+                path,
+                ReferenceDataError,
+            )
+
+
+def _clip_outcome(reader, path, error):
+    try:
+        clip = reader(path)
+    except error as exc:
+        return None, str(exc)
+    return (clip.dtype, clip.shape, clip.tobytes()), None
+
+
+@st.composite
+def _mutated_clips(draw, mutation: str) -> bytes:
+    """1-3 canonical frame lines, one of them changed by ``mutation`` in one
+    token, point or key."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objs = [
+        {name: getattr(random_raw_frame(rng), name).tolist() for name in LANDMARK_GROUPS}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    i = draw(st.integers(0, len(objs) - 1))
+    group = draw(st.sampled_from(list(LANDMARK_GROUPS)))
+    points = objs[i][group]
+    p = draw(st.integers(0, len(points) - 1))
+    token = None
+    if mutation in _VALUE_MUTATIONS:
+        token, points[p][draw(st.integers(0, 2))] = mutation, "MARK"
+    elif mutation in _CONFIDENCE_MUTATIONS:
+        token, points[p][2] = mutation, "MARK"
+    elif mutation in ("point2", "point4"):
+        del points[p][2:]
+        points[p] += [0.5, 0.5][: int(mutation[-1]) - 2]
+    elif mutation == "moved_value":  # a point of 2 and one of 4: still 1629 values
+        points[(p + 1) % len(points)].append(points[p].pop())
+    elif mutation == "nested_point":
+        points[p] = [points[p]]
+    elif mutation == "nested_value":
+        points[p][1] = [points[p][1]]
+    elif mutation == "extra_key":
+        objs[i]["extra"] = draw(st.sampled_from([0.5, [], "x", None]))
+    elif mutation == "missing_key":
+        del objs[i][group]
+    lines = [json.dumps(o) for o in objs]
+    if token is not None:
+        lines[i] = lines[i].replace('"MARK"', token)
+    elif mutation == "duplicate_key":  # json keeps the last value of a key
+        again = getattr(random_raw_frame(rng), group).tolist()
+        lines[i] = lines[i][:-1] + f', "{group}": {json.dumps(again)}}}'
+    elif mutation == "escaped_key":
+        lines[i] = lines[i].replace(f'"{group}"', f'"{group[:-1]}\\u{ord(group[-1]):04x}"')
+    raw = [line.encode("ascii") for line in lines]
+    if mutation == "invalid_utf8":
+        at = draw(st.integers(0, len(raw[i])))
+        raw[i] = raw[i][:at] + b"\xff" + raw[i][at:]
+    return b"\n".join(raw) + b"\n"
