@@ -3,7 +3,9 @@
 Subcommands: gen, filter, merge, postprocess, ingest, stitch, sample,
 tokenize, eval, stats.  Exit codes: 0 success, 1 usage error, 2 data error.
 With a fixed --seed, every subcommand produces byte-identical artifacts
-across runs; --jobs is accepted for compatibility and changes nothing.
+across runs and across --jobs.  --jobs N splits the raw files of ingest and
+the stitchable sentences of stitch into contiguous chunks, one forked
+process each, at most one per CPU; the other subcommands run in one process.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import bpe, corpus, curriculum, io, keypoints, metrics, stitch, templates
+from . import bpe, corpus, curriculum, io, keypoints, metrics, parallel, stitch, templates
 from .pose import WORD_ORDERS, default_selection
 
 
@@ -161,15 +163,16 @@ def _cmd_ingest(args) -> int:
     if not paths:
         raise io.DataError(f"{raw_dir}: no .jsonl raw landmark files")
 
-    filled = unresolved = 0
+    def ingest_one(path: Path) -> tuple[int, int]:
+        seq, report = keypoints.process_word_video(
+            io.read_raw_landmark_file(path), selection, args.threshold, source_id=path.stem
+        )
+        write_pose(path.stem, seq)
+        return report.keypoints_filled, report.unresolved
+
     with io.pose_set(args.out_dir) as write_pose:
-        for path in paths.values():
-            seq, report = keypoints.process_word_video(
-                io.read_raw_landmark_file(path), selection, args.threshold, source_id=path.stem
-            )
-            write_pose(path.stem, seq)
-            filled += report.keypoints_filled
-            unresolved += report.unresolved
+        counts = parallel.map_chunks(ingest_one, list(paths.values()), args.jobs)
+    filled, unresolved = (sum(column) for column in zip(*counts))
     print(
         f"ingest: {len(paths)} words -> {args.out_dir} "
         f"(filled {filled} keypoints, {unresolved} unresolved)"
@@ -191,6 +194,7 @@ def _cmd_stitch(args) -> int:
             target_mean_frames=args.target_mean_frames,
             write_pose=lambda record, sequence: write_pose(record.id, sequence),
             skip_oov=args.skip_oov,
+            jobs=args.jobs,
         )
     io.write_manifest(args.out_manifest, result.records)
     print(
@@ -277,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
     parser.add_argument("--jobs", type=_count(1), default=1,
-                        help="accepted for compatibility; every stage runs in one thread")
+                        help="processes for ingest and stitch, at most one per CPU; the other "
+                             "subcommands run in one")
     parser.add_argument("--skip-oov", action="store_true",
                         help="stitch a sentence without its out-of-lexicon tokens; by "
                              "default such a sentence is skipped and counted")

@@ -236,19 +236,23 @@ def check_file_stem(name: str) -> None:
         raise DataError(f"record id {name!r} cannot be used as a file name")
 
 
+# json.dumps's own string encoder: the quoted string, with every non-ASCII
+# character, control character and lone surrogate as a \u escape.
+_json_str = json.encoder.encode_basestring_ascii
+
+
 # --- pose files ---------------------------------------------------------------
 
 
 def encode_pose(seq: PoseSequence) -> bytes:
-    """Header line (JSON) followed by n_frames x 152 little-endian float32."""
-    header = {
-        "version": POSE_FILE_VERSION,
-        "n_frames": len(seq),
-        "dims": FRAME_DIM,
-        "source_id": seq.source_id,
-    }
-    payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
-    return json.dumps(header).encode("utf-8") + b"\n" + payload
+    """Header line (JSON) followed by n_frames x 152 little-endian float32.
+    The header is built from fixed keys: the bytes ``json.dumps`` gives for
+    ``{"version", "n_frames", "dims", "source_id"}``."""
+    header = (
+        f'{{"version": "{POSE_FILE_VERSION}", "n_frames": {len(seq)}, '
+        f'"dims": {FRAME_DIM}, "source_id": {_json_str(seq.source_id)}}}\n'
+    )
+    return header.encode("ascii") + np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
 
 
 def write_pose_file(path, seq: PoseSequence) -> None:
@@ -260,20 +264,38 @@ def write_pose_file(path, seq: PoseSequence) -> None:
 def pose_set(out_dir) -> Iterator[Callable[[str, PoseSequence], str]]:
     """Yield ``write(stem, seq)``, which stages ``<stem>.psp`` beside ``out_dir``
     for the ``outputs()`` commit and returns its published path.  A stem that
-    ``check_file_stem`` rejects is a DataError before any file is opened."""
+    ``check_file_stem`` rejects is a DataError before any file is opened.
+
+    ``write`` may be called from processes forked inside the block.  Each
+    forked process writes into its own directory in the stage, since creates
+    from two processes into one directory are slower than from one; when the
+    block ends, the files are renamed into the stage.  A stem written twice
+    is a FileExistsError, in one process or across two."""
     out_dir = Path(out_dir)
     with outputs():
         stage = _stage(out_dir, pose_set=True)
         stage.mkdir(parents=True)  # mode 0o777 under the umask, as a plain mkdir
+        dirs = {os.getpid(): stage}  # a forked process adds its own to its copy
 
         def write(stem: str, seq: PoseSequence) -> str:
             check_file_stem(stem)
             name = f"{stem}{POSE_FILE_SUFFIX}"
-            with open(stage / name, "xb") as fh:
+            pid = os.getpid()
+            if pid not in dirs:  # named without the pose suffix, so no stem can take it
+                dirs[pid] = stage / f".{pid}.worker"
+                dirs[pid].mkdir(exist_ok=True)  # a reused pid: an earlier worker's
+            with open(dirs[pid] / name, "xb") as fh:
                 fh.write(encode_pose(seq))
             return str(out_dir / name)
 
         yield write
+        for worker in sorted(e.path for e in os.scandir(stage) if e.is_dir(follow_symlinks=False)):
+            for name in sorted(os.listdir(worker)):
+                target = stage / name
+                if os.path.lexists(target):  # os.rename would replace it
+                    raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(target))
+                os.rename(os.path.join(worker, name), target)
+            os.rmdir(worker)
 
 
 def read_pose_file(path) -> PoseSequence:
@@ -414,11 +436,6 @@ def write_raw_landmark_file(path, frames: Sequence[RawLandmarkFrame]) -> None:
 
 
 # --- manifests -----------------------------------------------------------------
-
-
-# json.dumps's own string encoder: the quoted string, with every non-ASCII
-# character, control character and lone surrogate as a \u escape.
-_json_str = json.encoder.encode_basestring_ascii
 
 
 def encode_record(record: SentenceRecord) -> str:

@@ -10,7 +10,8 @@ mean, optionally jittered per sentence by a small multiplier.
 Per-sentence randomness (permutation, jitter) is seeded from
 (config seed, sentence id), so any sentence can be replayed in isolation.
 Datasets are stitched one sentence at a time and handed to the writer as
-soon as they are made, so memory does not grow with the number of sentences.
+soon as they are made, so memory does not grow with the number of sentences;
+with ``jobs`` above 1, forked workers stitch contiguous runs of sentences.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import LengthHistogram
+from .parallel import map_chunks
 from .pose import FRAME_DIM, WORD_ORDERS, PoseSequence, SentenceRecord
 from .seeds import derive_seed
 
@@ -186,16 +188,20 @@ def stitch_dataset(
     target_mean_frames: float,
     write_pose: Optional[Callable[[SentenceRecord, PoseSequence], str]] = None,
     skip_oov: bool = False,
+    jobs: int = 1,
 ) -> StitchDatasetResult:
     """Stitch every record, frame-rate matched against the target mean.
 
     The base stride is computed once from the pre-stitch mean sentence frame
     count (sum of resolvable word-clip lengths) against target_mean_frames,
     overriding cfg.base_stride.  Records with no stitchable words are skipped
-    and counted.  Records are stitched in input order and each sequence is
-    passed to ``write_pose(input_record, sequence)`` as soon as it is made,
-    then dropped; only the output records are kept.  ``write_pose`` persists
-    a sequence and returns its path; output records carry it and n_frames.
+    and counted.  Each sequence is passed to ``write_pose(input_record,
+    sequence)`` as soon as it is made, then dropped; only the output records
+    are kept.  ``write_pose`` persists a sequence and returns its path;
+    output records carry it and n_frames, in input order.  The stitchable
+    records are split over up to ``jobs`` processes (``parallel.map_chunks``)
+    after the base stride is fixed, so every sequence is the same at any
+    ``jobs``; ``write_pose`` then runs in the worker that made the sequence.
     """
     pre_lengths = []
     stitchable: list[tuple[SentenceRecord, list[str]]] = []
@@ -214,14 +220,17 @@ def stitch_dataset(
     base_stride = compute_sampling_rate(pre_mean, target_mean_frames)
     run_cfg = replace(cfg, base_stride=base_stride)
 
-    out_records = []
-    for record, words in stitchable:  # input order, one sequence alive at a time
+    def stitch_one(unit: tuple[SentenceRecord, list[str]]) -> tuple[Optional[str], int]:
+        record, words = unit
         sequence = stitch_sentence(words, lex, run_cfg, sentence_id=record.id).sequence
-        pose_path = None if write_pose is None else write_pose(record, sequence)
-        record = replace(
-            record, word_order=run_cfg.word_order, pose_path=pose_path, n_frames=len(sequence)
+        return None if write_pose is None else write_pose(record, sequence), len(sequence)
+
+    out_records = [
+        replace(record, word_order=run_cfg.word_order, pose_path=pose_path, n_frames=n_frames)
+        for (record, _), (pose_path, n_frames) in zip(
+            stitchable, map_chunks(stitch_one, stitchable, jobs)
         )
-        out_records.append(record)
+    ]
 
     histogram = LengthHistogram.from_lengths(
         r.n_frames for r in out_records if r.n_frames is not None

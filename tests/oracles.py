@@ -332,6 +332,22 @@ def stitch_sentence_reference(
     return np.concatenate(pieces, axis=0), tuple(boundaries), stride
 
 
+# --- pose files ----------------------------------------------------------------
+
+
+def encode_pose_reference(seq) -> bytes:
+    """A pose file's bytes: ``json.dumps`` of the header object, a newline,
+    then the frames as little-endian float32."""
+    header = {
+        "version": "psp-v1",
+        "n_frames": len(seq),
+        "dims": 152,
+        "source_id": seq.source_id,
+    }
+    payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
 # --- JSON lines ----------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ import types
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signsynth import bpe, cli, curriculum, io, templates
@@ -410,6 +410,20 @@ class TestManifestCodec:
             with open(path, "rb") as fh:
                 assert fh.read().isascii()
             assert read_manifest(path) == records
+
+
+class TestPoseHeaderCodec:
+    @given(_ANY_TEXT, st.integers(1, 3))
+    @example('"quoted" \\ back', 1)
+    @example("caf\u00e9 \u624b\u8a71", 2)
+    @example("\x00\x1f\x7f", 1)
+    @example("\ud800", 1)
+    @example("\U0001f44b", 1)
+    @settings(max_examples=200, deadline=None)
+    def test_encode_pose_equals_json_dumps(self, source_id, n):
+        frames = np.arange(n * FRAME_DIM, dtype=np.float32).reshape(n, FRAME_DIM) / 7
+        seq = PoseSequence(frames=frames, source_id=source_id)
+        assert io.encode_pose(seq) == oracles.encode_pose_reference(seq)
 
 
 class TestStats:
