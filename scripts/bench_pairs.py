@@ -12,7 +12,8 @@ machine speed falls on both sides alike.  Each checkout runs its own
 ``perfbench`` copy.  The script prints each pair's ``wall_s`` and whether
 the two artifact digests agree, then, for every end-to-end metric that
 ``BENCHMARK.json`` lists, each side's median and quartiles and the number of
-pairs the change wins.  The last line is the summary as one JSON object.
+pairs the change wins.  The last line is the summary as one JSON object,
+with the number of pairs whose digests agree as ``digests_equal``.
 Only the standard library is used.
 """
 
@@ -94,12 +95,14 @@ def main(argv=None) -> int:
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
 
     runs: list[tuple[dict, dict]] = []
+    digests_equal = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {side: run_benchmark(getattr(args, side), args.workload, args.seed, args.seconds)
                for side in order}
         (parent, parent_digest), (change, change_digest) = got["parent"], got["change"]
         runs.append((parent, change))
+        digests_equal += parent_digest == change_digest
         same = "equal" if parent_digest == change_digest else "DIFFER"
         print(f"pair {i + 1} ({order[0]} first): wall_s parent {parent['wall_s']:.4f} "
               f"change {change['wall_s']:.4f}; digests {same}", flush=True)
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
               f"({s['relative_change']:+.1%}); change better in {s['wins']}/{s['pairs']} "
               f"pairs, {s['ties']} ties; clear gain: {'yes' if s['clear_gain'] else 'no'}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "summary": summary}))
+                      "digests_equal": digests_equal, "summary": summary}))
     return 0
 
 

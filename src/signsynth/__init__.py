@@ -6,57 +6,4 @@ sampler, BPE tokenizer, and translation metrics needed to train and score a
 pose-based translation model on the result.
 """
 
-from .pose import (
-    FRAME_DIM,
-    KeypointSelection,
-    PoseFrame,
-    PoseSequence,
-    RawLandmarkFrame,
-    SentenceRecord,
-    default_selection,
-)
-from .keypoints import (
-    InterpolationReport,
-    interpolate_low_confidence,
-    process_word_video,
-    select_and_flatten,
-)
-from .templates import (
-    SlotLexicon,
-    Template,
-    count_expansions,
-    expand_all,
-    intersect_vocab,
-    parse_template,
-    sample_expansions,
-)
-from .corpus import (
-    LengthHistogram,
-    MergePolicy,
-    filter_corpus,
-    length_stats,
-    match_rate,
-    merge_short,
-    replace_rare_and_names,
-)
-from .stitch import (
-    SignLexicon,
-    StitchConfig,
-    StitchResult,
-    compute_sampling_rate,
-    resample,
-    stitch_dataset,
-    stitch_sentence,
-)
-from .curriculum import (
-    AnnealSchedule,
-    MixtureDraw,
-    draw,
-    emit_schedule,
-    real_fraction,
-    truncate_frames,
-)
-from .bpe import BpeModel, bpe_train, decode, encode
-from .metrics import EvalReport, bleu_corpus, eval_pairs, rouge_l, rouge_n
-
 __version__ = "0.1.0"

@@ -262,16 +262,10 @@ def _cmd_stats(args) -> int:
     io.write_stats(args.out, stats)
     if args.hist_csv:
         prefix = Path(args.hist_csv)
-        io.write_histogram_csv(
-            prefix.with_name(prefix.name + "_lengths.csv"),
-            corpus.length_stats(records),
-        )
-        io.write_histogram_csv(
-            prefix.with_name(prefix.name + "_frames.csv"),
-            corpus.LengthHistogram.from_lengths(
-                r.n_frames for r in records if r.n_frames is not None
-            ),
-        )
+        for name, hist in (("lengths", "length_histogram"), ("frames", "frame_histogram")):
+            io.write_histogram_csv(
+                prefix.with_name(f"{prefix.name}_{name}.csv"), stats[hist]["bins"]
+            )
     print(json.dumps(stats, indent=2))
     return 0
 

@@ -16,7 +16,6 @@ from typing import Iterator
 import numpy as np
 
 from .io import atomic_open
-from .pose import PoseSequence
 from .seeds import derive_seed, derive_seeds, first_randoms
 
 REAL = "real"
@@ -76,23 +75,6 @@ def draw(
     if u < real_fraction(step, sched):
         return MixtureDraw(step=step, source=REAL, item_index=rng.randrange(real_size))
     return MixtureDraw(step=step, source=SYNTHETIC, item_index=rng.randrange(synth_size))
-
-
-def truncate_frames(seq: PoseSequence, max_frames: int) -> PoseSequence:
-    """First min(len, max_frames) frames; idempotent."""
-    if max_frames < 1:
-        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
-    if len(seq) <= max_frames:
-        return seq
-    return PoseSequence(frames=seq.frames[:max_frames], source_id=seq.source_id)
-
-
-def emit_schedule(
-    total_steps: int, sched: AnnealSchedule, seed: int, real_size: int, synth_size: int
-) -> Iterator[MixtureDraw]:
-    """One draw per step in [0, total_steps)."""
-    for step in range(total_steps):
-        yield draw(step, sched, seed, real_size, synth_size)
 
 
 def write_schedule_csv(

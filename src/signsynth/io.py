@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 import orjson
@@ -535,8 +535,9 @@ def write_stats(path, stats: dict) -> None:
         fh.write(json.dumps(stats, indent=2) + "\n")
 
 
-def write_histogram_csv(path, hist: LengthHistogram) -> None:
+def write_histogram_csv(path, bins: Mapping[str, int]) -> None:
+    """``bins`` of a ``compute_stats`` histogram, whose keys are in length order."""
     with atomic_open(path) as fh:
         fh.write("length,count\n")
-        for k, v in sorted(hist.bins.items()):
+        for k, v in bins.items():
             fh.write(f"{k},{v}\n")

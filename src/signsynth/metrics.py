@@ -141,15 +141,6 @@ def _prf(overlap: float, n_cand: int, n_ref: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> tuple[float, float, float]:
-    """Multiset n-gram overlap as (precision, recall, f1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cand_counts = _ngram_counts(candidate, n)
-    ref_counts = _ngram_counts(reference, n)
-    return _prf(_overlap(cand_counts, ref_counts), cand_counts.total(), ref_counts.total())
-
-
 def _lcs_length(a: Tokens, b: Tokens) -> int:
     """Length of a longest common subsequence, bit-parallel over ``b``
     (Hyyro, "Bit-parallel LCS-length computation revisited", 2004): bit j of

@@ -17,7 +17,7 @@ line can carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -103,8 +103,9 @@ def landmark_group(values, size: int, name: str) -> np.ndarray:
         arr = np.array([_number(v) for v in arr.flat]).reshape(arr.shape)
     if arr.shape != (size, 3) or arr.dtype.kind not in "iuf" or _holds_bool(values, arr):
         raise ValueError(f"{name}: expected {size} points of 3 numbers [x, y, c]")
+    # Through float64, so an integer rounds as the same number written as a float.
     with np.errstate(over="ignore"):  # beyond float32 becomes inf, rejected below
-        arr = arr.astype(np.float32)
+        arr = arr.astype(np.float64, copy=False).astype(np.float32)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: contains non-finite values")
     if arr[:, 2].min() < 0.0 or arr[:, 2].max() > 1.0:
@@ -180,12 +181,6 @@ class PoseSequence:
 
     def __len__(self) -> int:
         return self.frames.shape[0]
-
-    def __iter__(self) -> Iterator[PoseFrame]:
-        return (PoseFrame(row) for row in self.frames)
-
-    def frame(self, i: int) -> PoseFrame:
-        return PoseFrame(self.frames[i])
 
 
 WORD_ORDERS = ("swo", "rwo")

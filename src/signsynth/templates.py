@@ -1,4 +1,4 @@
-"""Slot-template DSL: parsing, vocabulary intersection, and expansion.
+"""Slot-template DSL: parsing and expansion.
 
 Template syntax is whitespace-separated items.  ``Name[]`` is an
 unconstrained slot drawing from lexicon category ``Name``; ``Name[f=V,g=W]``
@@ -21,7 +21,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .io import atomic_open, read_jsonl, read_lines
 from .pose import SentenceRecord
@@ -167,11 +167,6 @@ def parse_template(src: str, template_id: str = "", phenomenon: str = "custom") 
                 f"expected 'Name[...]' slot or lowercase literal, got {item!r}", offset
             )
     return Template(id=template_id, phenomenon=phenomenon, elements=tuple(elements))
-
-
-def intersect_vocab(lexicon_words: Iterable[str], template_words: Iterable[str]) -> set[str]:
-    """Case-folded exact intersection of the two vocabularies."""
-    return {w.lower() for w in lexicon_words} & {w.lower() for w in template_words}
 
 
 def _candidate_lists(t: Template, lex: SlotLexicon) -> list[tuple[LexiconEntry, ...]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,32 @@ class TestSummarize:
     def test_bad_arguments(self, pairs, better):
         with pytest.raises(ValueError):
             summarize(pairs, better)
+
+
+class TestMain:
+    def test_summary_counts_pairs_with_equal_digests(self, tmp_path, monkeypatch, capsys):
+        trees = {side: tmp_path / side for side in ("parent", "change")}
+        for tree in trees.values():
+            (tree / "src").mkdir(parents=True)
+        (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower"}]}
+        ))
+        calls = []
+
+        def run_benchmark(tree, workload, seed, seconds):
+            calls.append(tree)
+            # The change's second run gives another digest.
+            digest = "b" if tree == trees["change"] and calls.count(tree) == 2 else "a"
+            return {"wall_s": 2.0 if tree == trees["parent"] else 1.0}, digest
+
+        monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+        argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w",
+                "--pairs", "3", "--seconds", "1"]
+        assert bench_pairs.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert calls == [trees["parent"], trees["change"], trees["change"], trees["parent"],
+                         trees["parent"], trees["change"]]
+        assert ["DIFFER" in line for line in lines[:3]] == [False, True, False]
+        summary = json.loads(lines[-1])
+        assert summary["digests_equal"] == 2
+        assert summary["summary"]["wall_s"]["wins"] == 3

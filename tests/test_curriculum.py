@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +14,9 @@ from signsynth.curriculum import (
     AnnealSchedule,
     MixtureDraw,
     draw,
-    emit_schedule,
     real_fraction,
-    truncate_frames,
     write_schedule_csv,
 )
-from signsynth.pose import FRAME_DIM, PoseSequence
 
 SCHED = AnnealSchedule()
 
@@ -91,47 +87,19 @@ class TestDraw:
             MixtureDraw(step=0, source="other", item_index=0)
 
 
-class TestTruncate:
-    def seq(self, n):
-        return PoseSequence(frames=np.random.default_rng(n).random((n, FRAME_DIM)))
-
-    def test_truncates_long(self):
-        assert len(truncate_frames(self.seq(500), 300)) == 300
-
-    def test_short_unchanged(self):
-        seq = self.seq(100)
-        assert truncate_frames(seq, 300) is seq
-
-    def test_max_one(self):
-        out = truncate_frames(self.seq(10), 1)
-        assert len(out) == 1
-
-    def test_keeps_prefix(self):
-        seq = self.seq(50)
-        out = truncate_frames(seq, 20)
-        assert np.array_equal(out.frames, seq.frames[:20])
-
-    @given(st.integers(1, 80), st.integers(1, 80))
-    @settings(max_examples=30, deadline=None)
-    def test_idempotent(self, n, max_frames):
-        once = truncate_frames(self.seq(n), max_frames)
-        twice = truncate_frames(once, max_frames)
-        assert np.array_equal(once.frames, twice.frames)
-
-
 class TestEmitSchedule:
     def test_step_count_and_order(self):
-        draws = list(emit_schedule(3, SCHED, 0, 5, 5))
+        draws = [draw(s, SCHED, 0, 5, 5) for s in range(3)]
         assert [d.step for d in draws] == [0, 1, 2]
 
     def test_deterministic(self):
-        a = list(emit_schedule(50, SCHED, 9, 5, 5))
-        b = list(emit_schedule(50, SCHED, 9, 5, 5))
+        a = [draw(s, SCHED, 9, 5, 5) for s in range(50)]
+        b = [draw(s, SCHED, 9, 5, 5) for s in range(50)]
         assert a == b
 
     def test_cumulative_real_count_matches_integral(self):
         total = 60_000
-        draws = emit_schedule(total, SCHED, 7, 10, 10)
+        draws = (draw(s, SCHED, 7, 10, 10) for s in range(total))
         hits = sum(d.source == REAL for d in draws)
         expected = sum(real_fraction(s, SCHED) for s in range(total))  # 25499.575...
         assert expected == pytest.approx(0.425 * total, rel=1e-4)
@@ -175,9 +143,9 @@ class TestScheduleCsvMatchesDraw:
     def test_rows_equal_draws(self, tmp_path_factory, total_steps, sched, seed):
         path = tmp_path_factory.mktemp("csv") / "schedule.csv"
         write_schedule_csv(path, total_steps, sched, seed, 3, 4)
+        draws = [draw(s, sched, seed, 3, 4) for s in range(total_steps)]
         want = ["step,real_fraction,source\r\n"] + [
-            f"{d.step},{real_fraction(d.step, sched):.6f},{d.source}\r\n"
-            for d in emit_schedule(total_steps, sched, seed, 3, 4)
+            f"{d.step},{real_fraction(d.step, sched):.6f},{d.source}\r\n" for d in draws
         ]
         assert path.read_bytes() == "".join(want).encode()
 
@@ -189,12 +157,12 @@ class TestScheduleCsvMatchesDraw:
         path = tmp_path / "schedule.csv"
         if total_steps > 0:
             with pytest.raises(ValueError, match="sizes"):
-                list(emit_schedule(total_steps, SCHED, 0, *sizes))
+                [draw(s, SCHED, 0, *sizes) for s in range(total_steps)]
             with pytest.raises(ValueError, match="sizes"):
                 write_schedule_csv(path, total_steps, SCHED, 0, *sizes)
             assert list(tmp_path.iterdir()) == []
         else:
-            assert list(emit_schedule(total_steps, SCHED, 0, *sizes)) == []
+            assert [draw(s, SCHED, 0, *sizes) for s in range(total_steps)] == []
             write_schedule_csv(path, total_steps, SCHED, 0, *sizes)
             assert path.read_bytes() == b"step,real_fraction,source\r\n"
 

@@ -196,6 +196,21 @@ class TestRawLandmarkFile:
         with pytest.raises(DataError, match=":3: expected a JSON object, got list"):
             read_raw_landmark_file(path)
 
+    def test_integer_reads_as_the_same_number_written_as_a_float(self, rng, tmp_path):
+        obj = {name: getattr(random_raw_frame(rng), name).tolist() for name in LANDMARK_GROUPS}
+        obj["body"] = "MARK"
+        line = json.dumps(obj)
+        value = 2**60 + 2**36 + 1
+        ints = tmp_path / "ints.jsonl"
+        ints.write_text(line.replace('"MARK"', json.dumps([[value, 0, 1]] * 33)) + "\n")
+        floats = tmp_path / "floats.jsonl"
+        floats.write_text(
+            line.replace('"MARK"', json.dumps([[1152921573326323713.0, 0.0, 1.0]] * 33)) + "\n"
+        )
+        clip = read_raw_landmark_file(ints)
+        assert clip.tobytes() == read_raw_landmark_file(floats).tobytes()
+        assert clip[0, 0, 0] == np.float32(float(value))
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_property(self, seed, n):

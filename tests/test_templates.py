@@ -15,7 +15,6 @@ from signsynth.templates import (
     TemplateParseError,
     count_expansions,
     expand_all,
-    intersect_vocab,
     load_slot_lexicon,
     load_templates,
     parse_template,
@@ -136,24 +135,6 @@ class TestParse:
         t = parse_template(src)
         assert parse_template(t.render()) == t
         assert t.render() == src
-
-
-class TestIntersectVocab:
-    def test_basic(self):
-        assert intersect_vocab({"cat", "dog", "run"}, {"dog", "run", "jump"}) == {"dog", "run"}
-
-    def test_empty(self):
-        assert intersect_vocab({"a", "b"}, set()) == set()
-
-    def test_case_folded(self):
-        assert intersect_vocab({"Dog", "CAT"}, {"dog", "cat"}) == {"dog", "cat"}
-
-    def test_matches_quadratic_oracle(self, rng):
-        words = [f"w{i}" for i in range(12)]
-        a = {words[int(i)] for i in rng.integers(0, 12, size=10)}
-        b = {words[int(i)] for i in rng.integers(0, 12, size=7)}
-        brute = {x for x in a for y in b if x.lower() == y.lower()}
-        assert intersect_vocab(a, b) == brute
 
 
 class TestCountAndExpand:
