@@ -187,20 +187,13 @@ def _cmd_stitch(args) -> int:
                               crossfade_frames=args.crossfade_frames, seed=args.seed)
 
     with io.pose_set(args.out_dir) as write_pose:
-        result = stitch.stitch_dataset(
-            records,
-            lex,
-            cfg,
-            target_mean_frames=args.target_mean_frames,
-            write_pose=lambda record, sequence: write_pose(record.id, sequence),
-            skip_oov=args.skip_oov,
-            jobs=args.jobs,
-        )
+        result = stitch.stitch_dataset(records, lex, cfg, args.target_mean_frames, write_pose,
+                                       skip_oov=args.skip_oov, jobs=args.jobs)
     io.write_manifest(args.out_manifest, result.records)
+    mean_frames = sum(r.n_frames for r in result.records) / len(result.records)
     print(
         f"stitch: {len(result.records)} sentences (skipped {result.skipped}), "
-        f"base stride {result.base_stride}, "
-        f"mean frames {result.frame_histogram.mean:.1f}"
+        f"base stride {result.base_stride}, mean frames {mean_frames:.1f}"
     )
     return 0
 

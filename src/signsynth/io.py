@@ -73,6 +73,9 @@ class DataError(ValueError):
 _Stage = namedtuple("_Stage", "tmp target pose_set made")
 # The stages of the outermost ``outputs()`` block running in this context.
 _COMMIT: ContextVar[list | None] = ContextVar("signsynth_outputs", default=None)
+# A stage is named ".<name>.<16 hex>.tmp"; the longest <name> that keeps it
+# within the 255 bytes a file name may have.
+_STAGE_NAME_BYTES = 255 - len("..0123456789abcdef.tmp")
 
 
 @contextmanager
@@ -124,9 +127,12 @@ def _publish(stages: list[_Stage]) -> None:
 
 
 def _stage(target: Path, pose_set: bool = False) -> Path:
-    """A fresh temp name beside ``target``, registered with the active commit."""
+    """A fresh temp name beside ``target``, registered with the active commit.
+    The copy of the target's name it holds is cut, on a character boundary,
+    so the stage name stays within NAME_MAX; the random hex keeps it unique."""
     made = [p for p in target.parents if not p.exists()] if pose_set else []
-    tmp = target.parent / f".{target.name}.{secrets.token_hex(8)}.tmp"
+    name = os.fsencode(target.name)[:_STAGE_NAME_BYTES].decode("utf-8", "ignore")
+    tmp = target.parent / f".{name}.{secrets.token_hex(8)}.tmp"
     _COMMIT.get().append(_Stage(tmp, target, pose_set, made))
     return tmp
 

@@ -9,9 +9,9 @@ vector with the canonical layout::
 
 with each keypoint contributing adjacent (x, y) values and indices ascending
 within each group.  All types are immutable values (backing arrays are
-read-only copies), so they are safe to share across threads, and each checks
-its fields when it is built: a ``SentenceRecord`` holds only what a manifest
-line can carry.
+read-only copies), which forked ``--jobs`` workers share copy-on-write, and
+each checks its fields when it is built: a ``SentenceRecord`` holds only what
+a manifest line can carry.
 """
 
 from __future__ import annotations

@@ -9,20 +9,22 @@ mean, optionally jittered per sentence by a small multiplier.
 
 Per-sentence randomness (permutation, jitter) is seeded from
 (config seed, sentence id), so any sentence can be replayed in isolation.
-Datasets are stitched one sentence at a time and handed to the writer as
-soon as they are made, so memory does not grow with the number of sentences;
-with ``jobs`` above 1, forked workers stitch contiguous runs of sentences.
+Datasets are stitched one sentence at a time, each handed to the writer as
+soon as it is made, so no pose frames are held beyond the sentence being
+written.  The records are held: the input records, the pre-pass's
+``(record, words)`` pairs and the output records, about 1.3 KB of memory per
+record.  With ``jobs`` above 1, forked workers stitch contiguous runs of
+sentences.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LengthHistogram
 from .parallel import map_chunks
 from .pose import FRAME_DIM, WORD_ORDERS, PoseSequence, SentenceRecord
 from .seeds import derive_seed
@@ -118,35 +120,24 @@ def _crossfade(last: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
 
 
 def stitch_sentence(
-    words: Sequence[str],
-    lex: SignLexicon,
-    cfg: StitchConfig,
-    sentence_id: str = "",
-    skip_oov: bool = False,
+    words: Sequence[str], lex: SignLexicon, cfg: StitchConfig, sentence_id: str = ""
 ) -> StitchResult:
     """Stitch one sentence into a pose sequence with word boundaries.
 
-    Raises KeyError naming the first unresolvable token unless skip_oov is
-    set, in which case out-of-vocabulary tokens are dropped before ordering.
+    Every word is stitched: each clip is looked up once, in sentence order,
+    so the first word missing from the lexicon raises its KeyError.  Which
+    words of a record to stitch is decided by ``stitch_dataset``.
     """
     if not words:
         raise ValueError("empty word list")
-    resolved = []
-    for word in words:
-        if word in lex:
-            resolved.append(word)
-        elif not skip_oov:
-            raise KeyError(f"word not in sign lexicon: {word!r}")
-    if not resolved:
-        raise ValueError(f"sentence {sentence_id!r}: no stitchable words")
+    found = [(word, lex.clip(word).frames) for word in words]
 
     rng = random.Random(derive_seed(cfg.seed, sentence_id))
     stride = cfg.base_stride * rng.choice(cfg.jitter_strides)
-    order = list(resolved)
     if cfg.word_order == "rwo":
-        rng.shuffle(order)  # Fisher-Yates
+        rng.shuffle(found)  # Fisher-Yates
 
-    clips = [lex.clip(word).frames[::stride] for word in order]  # views, no copies
+    clips = [frames[::stride] for _, frames in found]  # views, no copies
     n_fade = cfg.crossfade_frames if len(clips) > 1 else 0
     if n_fade:
         fades = _crossfade(
@@ -159,7 +150,7 @@ def stitch_sentence(
     )
     boundaries: list[tuple[str, int, int]] = []
     cursor = 0
-    for i, (word, clip) in enumerate(zip(order, clips)):
+    for i, ((word, _), clip) in enumerate(zip(found, clips)):
         if i > 0 and n_fade:
             frames[cursor : cursor + n_fade] = fades[i - 1]
             cursor += n_fade
@@ -176,7 +167,6 @@ def stitch_sentence(
 @dataclass(frozen=True)
 class StitchDatasetResult:
     records: tuple[SentenceRecord, ...]
-    frame_histogram: LengthHistogram
     base_stride: int
     skipped: int
 
@@ -186,22 +176,25 @@ def stitch_dataset(
     lex: SignLexicon,
     cfg: StitchConfig,
     target_mean_frames: float,
-    write_pose: Optional[Callable[[SentenceRecord, PoseSequence], str]] = None,
+    write_pose: Callable[[str, PoseSequence], str],
     skip_oov: bool = False,
     jobs: int = 1,
 ) -> StitchDatasetResult:
     """Stitch every record, frame-rate matched against the target mean.
 
-    The base stride is computed once from the pre-stitch mean sentence frame
-    count (sum of resolvable word-clip lengths) against target_mean_frames,
-    overriding cfg.base_stride.  Records with no stitchable words are skipped
-    and counted.  Each sequence is passed to ``write_pose(input_record,
-    sequence)`` as soon as it is made, then dropped; only the output records
-    are kept.  ``write_pose`` persists a sequence and returns its path;
-    output records carry it and n_frames, in input order.  The stitchable
-    records are split over up to ``jobs`` processes (``parallel.map_chunks``)
-    after the base stride is fixed, so every sequence is the same at any
-    ``jobs``; ``write_pose`` then runs in the worker that made the sequence.
+    A pre-pass decides once which words of each record are stitched: a
+    record with a word missing from the lexicon is skipped and counted,
+    unless ``skip_oov`` is set, in which case it is stitched from its other
+    words; a record with no lexicon word is always skipped.  The base stride
+    is computed from the pre-pass's mean sentence frame count (sum of its
+    word-clip lengths) against target_mean_frames, overriding
+    cfg.base_stride.  Each sequence is passed to ``write_pose(record.id,
+    sequence)`` (an ``io.pose_set`` writer) as soon as it is made, then
+    dropped; ``write_pose`` persists it and returns its path.  Output records
+    carry that path and n_frames, in input order.  The stitchable records
+    are split over up to ``jobs`` processes (``parallel.map_chunks``) after
+    the base stride is fixed, so every sequence is the same at any ``jobs``;
+    ``write_pose`` then runs in the worker that made the sequence.
     """
     pre_lengths = []
     stitchable: list[tuple[SentenceRecord, list[str]]] = []
@@ -220,24 +213,15 @@ def stitch_dataset(
     base_stride = compute_sampling_rate(pre_mean, target_mean_frames)
     run_cfg = replace(cfg, base_stride=base_stride)
 
-    def stitch_one(unit: tuple[SentenceRecord, list[str]]) -> tuple[Optional[str], int]:
+    def stitch_one(unit: tuple[SentenceRecord, list[str]]) -> tuple[str, int]:
         record, words = unit
         sequence = stitch_sentence(words, lex, run_cfg, sentence_id=record.id).sequence
-        return None if write_pose is None else write_pose(record, sequence), len(sequence)
+        return write_pose(record.id, sequence), len(sequence)
 
-    out_records = [
+    out_records = tuple(
         replace(record, word_order=run_cfg.word_order, pose_path=pose_path, n_frames=n_frames)
         for (record, _), (pose_path, n_frames) in zip(
             stitchable, map_chunks(stitch_one, stitchable, jobs)
         )
-    ]
-
-    histogram = LengthHistogram.from_lengths(
-        r.n_frames for r in out_records if r.n_frames is not None
     )
-    return StitchDatasetResult(
-        records=tuple(out_records),
-        frame_histogram=histogram,
-        base_stride=base_stride,
-        skipped=skipped,
-    )
+    return StitchDatasetResult(records=out_records, base_stride=base_stride, skipped=skipped)

@@ -241,6 +241,20 @@ class TestStitchOutputDir:
         assert not (tmp_path / "out.jsonl").exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_summary_line(self, tmp_path, capsys):
+        # One sentence has a word missing from the lexicon and is skipped; the
+        # mean is over the stitched sentences only.
+        records = [
+            SentenceRecord(id="s0", text=("boy", "can", "see", "coat")),
+            SentenceRecord(id="s1", text=("girl", "will", "zebra")),
+            SentenceRecord(id="s2", text=("people", "should", "wear", "that", "coat")),
+            SentenceRecord(id="s3", text=("children", "hide")),
+        ]
+        assert self.stitch(tmp_path, records, "--seed", "3") == 0
+        assert capsys.readouterr().out == (
+            "stitch: 3 sentences (skipped 1), base stride 2, mean frames 47.3\n"
+        )
+
     def test_overlong_id_writes_nothing(self, tmp_path):
         records = [
             SentenceRecord(id="ok1", text=("boy", "can", "see")),

@@ -543,6 +543,18 @@ class TestAtomicWrites:
         assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
+    @pytest.mark.parametrize("name", ["a" * 250, "\u00e9" * 125], ids=["ascii", "two-byte"])
+    def test_longest_names_can_be_written(self, tmp_path, name):
+        # A 250-byte name is legal; its stage name must be too.
+        out = tmp_path / name
+        with atomic_open(out) as fh:
+            (stage,) = tmp_path.iterdir()
+            assert len(stage.name.encode("utf-8")) <= 255  # strict: whole characters
+            fh.write("x")
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert out.read_text() == "x"
+
+
 class TestPoseSetPublish:
     """Where ``pose_set`` publishes its files, and what an error leaves."""
 
@@ -600,6 +612,16 @@ class TestPoseSetPublish:
                 raise RuntimeError("stitch failed")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("name", ["a" * 250, "\u00e9" * 125], ids=["ascii", "two-byte"])
+    def test_longest_names_can_be_written(self, rng, tmp_path, name):
+        out = tmp_path / name
+        with pose_set(out) as write:
+            (stage,) = tmp_path.iterdir()
+            assert len(stage.name.encode("utf-8")) <= 255  # strict: whole characters
+            write("a", random_sequence(rng))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert [p.name for p in out.iterdir()] == ["a.psp"]
 
     def test_error_removes_the_empty_parents_it_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "out"

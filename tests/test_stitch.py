@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signsynth import stitch
 from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
 from signsynth.stitch import (
     SignLexicon,
@@ -34,6 +35,37 @@ def make_lexicon(lengths: dict[str, int], seed: int = 0) -> SignLexicon:
             for i, (word, n) in enumerate(sorted(lengths.items()))
         }
     )
+
+
+class RecordingWriter:
+    """Stands in for an ``io.pose_set`` writer: keeps each sequence's frames
+    by stem and returns the stem's file name."""
+
+    def __init__(self):
+        self.frames = {}
+
+    def __call__(self, stem: str, sequence: PoseSequence) -> str:
+        self.frames[stem] = sequence.frames
+        return f"{stem}.psp"
+
+
+@pytest.fixture
+def sentence_results(monkeypatch):
+    """Every StitchResult that ``stitch_dataset`` gets, in call order, from
+    ``stitch.stitch_sentence``: the name the benchmark wraps."""
+    results = []
+    real = stitch.stitch_sentence
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(stitch, "stitch_sentence", recording)
+    return results
+
+
+def mean_frames(result) -> float:
+    return sum(r.n_frames for r in result.records) / len(result.records)
 
 
 class TestSamplingRate:
@@ -155,10 +187,13 @@ class TestStitchSentence:
         with pytest.raises(KeyError, match="zzz"):
             stitch_sentence(["a", "zzz"], lex, StitchConfig(), sentence_id="s")
 
-    def test_skip_oov_drops_token(self):
+    def test_skip_oov_drops_token(self, sentence_results):
+        # skip_oov is stitch_dataset's: its pre-pass drops the token.
         lex = make_lexicon({"a": 3, "b": 4})
         cfg = StitchConfig(crossfade_frames=0)
-        result = stitch_sentence(["a", "zzz", "b"], lex, cfg, sentence_id="s", skip_oov=True)
+        records = [SentenceRecord(id="s", text=("a", "zzz", "b"))]
+        stitch_dataset(records, lex, cfg, 7.0, RecordingWriter(), skip_oov=True)
+        (result,) = sentence_results
         assert [w for w, _, _ in result.boundaries] == ["a", "b"]
 
     def test_empty_sentence_errors(self):
@@ -166,9 +201,11 @@ class TestStitchSentence:
             stitch_sentence([], make_lexicon({"a": 3}), StitchConfig(), sentence_id="s")
 
     def test_all_oov_errors(self):
+        # Even with skip_oov, a sentence with no lexicon word is not stitched.
         lex = make_lexicon({"a": 3})
-        with pytest.raises(ValueError, match="no stitchable words"):
-            stitch_sentence(["x", "y"], lex, StitchConfig(), sentence_id="s", skip_oov=True)
+        records = [SentenceRecord(id="s", text=("x", "y"))]
+        with pytest.raises(ValueError, match="no stitchable records"):
+            stitch_dataset(records, lex, StitchConfig(), 3.0, RecordingWriter(), skip_oov=True)
 
     def test_case_folded_lookup(self):
         lex = make_lexicon({"hello": 4})
@@ -219,7 +256,8 @@ class TestStitchSentenceOracle:
     def test_matches_per_boundary_reference(
         self, words, lengths, crossfade, order, jitter, base_stride, seed, sentence_id
     ):
-        # "zz" is out of vocabulary and dropped, as with --skip-oov.
+        # "zz" is out of vocabulary: the oracle drops it with skip_oov, as
+        # stitch_dataset's pre-pass does before calling stitch_sentence.
         if all(w == "zz" for w in words):
             words = words + ["a"]
         rng = np.random.default_rng(seed)
@@ -232,7 +270,8 @@ class TestStitchSentenceOracle:
             word_order=order, base_stride=base_stride, jitter_strides=tuple(jitter),
             crossfade_frames=crossfade, seed=seed,
         )
-        result = stitch_sentence(words, lex, cfg, sentence_id=sentence_id, skip_oov=True)
+        known = [w for w in words if w in lex]
+        result = stitch_sentence(known, lex, cfg, sentence_id=sentence_id)
         frames, boundaries, stride = oracles.stitch_sentence_reference(
             words, clips, order, base_stride, jitter, crossfade, seed, sentence_id,
             skip_oov=True,
@@ -250,23 +289,23 @@ class TestStitchDataset:
         lex = make_lexicon({"a": 10, "b": 10})
         records = self.make_records([["a", "b"]] * 20)
         cfg = StitchConfig(crossfade_frames=0)
-        result = stitch_dataset(records, lex, cfg, target_mean_frames=20.0)
+        result = stitch_dataset(records, lex, cfg, 20.0, RecordingWriter())
         assert result.base_stride == 1
-        assert result.frame_histogram.mean == pytest.approx(20.0)
+        assert mean_frames(result) == pytest.approx(20.0)
 
     def test_three_to_one_ratio(self):
         # Synthetic mean 3x target: stride 3, post-stitch mean within 15%.
         lex = make_lexicon({"a": 60, "b": 60, "c": 60})
         records = self.make_records([["a", "b", "c"]] * 30)  # pre mean 180
         cfg = StitchConfig(crossfade_frames=2)
-        result = stitch_dataset(records, lex, cfg, target_mean_frames=60.0)
+        result = stitch_dataset(records, lex, cfg, 60.0, RecordingWriter())
         assert result.base_stride == 3
-        assert abs(result.frame_histogram.mean - 60.0) <= 0.15 * 60.0
+        assert abs(mean_frames(result) - 60.0) <= 0.15 * 60.0
 
     def test_oov_record_skipped_and_counted(self):
         lex = make_lexicon({"a": 6})
         records = self.make_records([["a"], ["zzz"], ["a"]])
-        result = stitch_dataset(records, lex, StitchConfig(), target_mean_frames=6.0)
+        result = stitch_dataset(records, lex, StitchConfig(), 6.0, RecordingWriter())
         assert result.skipped == 1
         assert len(result.records) == 2
 
@@ -275,11 +314,11 @@ class TestStitchDataset:
         records = self.make_records([["a", "b"], ["b"], ["b", "a", "a"]] * 4)
         alive = []
 
-        def write_pose(record, sequence):
+        def write_pose(stem, sequence):
             gc.collect()
             assert all(ref() is None for ref in alive[:-1])
             alive.append(weakref.ref(sequence))
-            return f"{record.id}.psp"
+            return f"{stem}.psp"
 
         result = stitch_dataset(
             records, lex, StitchConfig(word_order="rwo", seed=2), target_mean_frames=12.0,
@@ -301,7 +340,7 @@ class TestStitchDataset:
 
         monkeypatch.setattr(PoseSequence, "__post_init__", counting_post_init)
         cfg = StitchConfig(word_order="rwo", jitter_strides=(1, 2, 3), seed=4)
-        result = stitch_dataset(records, lex, cfg, target_mean_frames=20.0)
+        result = stitch_dataset(records, lex, cfg, 20.0, RecordingWriter())
         assert result.skipped == 10
         assert built == [record.id for record in result.records]
 
@@ -309,15 +348,23 @@ class TestStitchDataset:
         lex = make_lexicon({"a": 5})
         records = self.make_records([["zzz"]])
         with pytest.raises(ValueError, match="no stitchable records"):
-            stitch_dataset(records, lex, StitchConfig(), target_mean_frames=5.0)
+            stitch_dataset(records, lex, StitchConfig(), 5.0, RecordingWriter())
 
     def test_records_carry_frame_counts(self):
         lex = make_lexicon({"a": 8, "b": 4})
         records = self.make_records([["a", "b"]])
-        result = stitch_dataset(
-            records, lex, StitchConfig(crossfade_frames=2), target_mean_frames=12.0
-        )
+        cfg = StitchConfig(crossfade_frames=2)
+        result = stitch_dataset(records, lex, cfg, 12.0, RecordingWriter())
         assert result.records[0].n_frames == 8 + 4 + 2
+
+    def test_one_stitch_sentence_call_per_stitchable_record(self, sentence_results):
+        # The benchmark times and counts stitch.stitch_sentence, wrapped by
+        # name: stitch_dataset must reach it through the module attribute.
+        lex = make_lexicon({"a": 6, "b": 9})
+        records = self.make_records([["a", "b"], ["zz"], ["b"], ["a", "zz"], ["b", "a"]])
+        result = stitch_dataset(records, lex, StitchConfig(), 10.0, RecordingWriter(), jobs=1)
+        assert [r.sequence.source_id for r in sentence_results] == ["r0", "r2", "r4"]
+        assert [r.id for r in result.records] == ["r0", "r2", "r4"]
 
 
 class TestStitchDatasetOracle:
@@ -356,11 +403,8 @@ class TestStitchDatasetOracle:
         cfg = StitchConfig(
             word_order=order, jitter_strides=tuple(jitter), crossfade_frames=crossfade, seed=seed
         )
-        written = {}
-
-        def write_pose(record, sequence):
-            written[record.id] = sequence.frames
-            return f"{record.id}.psp"
+        write_pose = RecordingWriter()
+        written = write_pose.frames
 
         if not kept:
             with pytest.raises(ValueError, match="no stitchable records"):
