@@ -54,6 +54,8 @@ class BpeModel:
         for i, special in enumerate(self.specials):
             if self.vocab.get(special) != i:
                 raise ValueError(f"special {special!r} must have reserved id {i}")
+        if UNK not in self.specials:
+            raise ValueError(f"specials must include {UNK!r}")
         object.__setattr__(self, "_ranks", {pair: i for i, pair in enumerate(self.merges)})
         object.__setattr__(self, "_word_ids", {s: (i,) for i, s in enumerate(self.specials)})
 
@@ -69,21 +71,14 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
 
 
-def bpe_train(
-    corpus: Iterable[Sequence[str]],
-    vocab_size: int,
-    specials: Sequence[str] = DEFAULT_SPECIALS,
-) -> BpeModel:
-    """Train a BPE model over tokenized sentences.
+def bpe_train(corpus: Iterable[Sequence[str]], vocab_size: int) -> BpeModel:
+    """Train a BPE model over tokenized sentences, reserving DEFAULT_SPECIALS.
 
     vocab_size counts everything: specials, the base alphabet, and one slot
     per merge.  A budget equal to specials + alphabet yields zero merges;
     anything smaller is an error.
     """
-    specials = tuple(specials)
-    if UNK not in specials:
-        specials = specials + (UNK,)
-    special_set = set(specials)
+    special_set = set(DEFAULT_SPECIALS)
 
     word_counts: Counter = Counter()
     charset: set[str] = set()
@@ -97,11 +92,11 @@ def bpe_train(
         raise ValueError("empty corpus")
 
     alphabet = sorted(c for ch in charset for c in (ch, ch + END_OF_WORD))
-    n_reserved = len(specials) + len(alphabet)
+    n_reserved = len(DEFAULT_SPECIALS) + len(alphabet)
     if vocab_size < n_reserved:
         raise ValueError(
             f"vocab_size {vocab_size} too small: need >= {n_reserved} "
-            f"({len(specials)} specials + {len(alphabet)} alphabet symbols)"
+            f"({len(DEFAULT_SPECIALS)} specials + {len(alphabet)} alphabet symbols)"
         )
 
     words = [_word_symbols(w) for w in word_counts]
@@ -153,10 +148,10 @@ def bpe_train(
                 del pair_counts[p]
 
     vocab: dict[str, int] = {}
-    for token in (*specials, *alphabet, *(a + b for a, b in merges)):
+    for token in (*DEFAULT_SPECIALS, *alphabet, *(a + b for a, b in merges)):
         if token not in vocab:
             vocab[token] = len(vocab)
-    return BpeModel(merges=tuple(merges), vocab=vocab, specials=specials)
+    return BpeModel(merges=tuple(merges), vocab=vocab, specials=DEFAULT_SPECIALS)
 
 
 def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:

@@ -71,8 +71,14 @@ def _config_line(line: str) -> tuple[str, str] | None:
 
 
 def load_config(path) -> dict[str, str]:
-    """Flat 'key = value' lines naming SETTINGS; '#' starts a comment."""
-    return dict(item for _, item in io.read_lines(path, _config_line))
+    """Flat 'key = value' lines naming SETTINGS; '#' starts a comment.  A key
+    given twice is a DataError citing the line of the repeat."""
+    config: dict[str, str] = {}
+    for lineno, (key, value) in io.read_lines(path, _config_line):
+        if key in config:
+            raise io.DataError(f"{path}:{lineno}: setting {key!r} given twice")
+        config[key] = value
+    return config
 
 
 def _count(minimum: int):

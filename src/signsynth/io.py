@@ -46,7 +46,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 import orjson
 
-from .corpus import LengthHistogram
+from .corpus import LengthHistogram, length_stats
 from .pose import (
     FRAME_DIM,
     LANDMARK_GROUPS,
@@ -523,14 +523,13 @@ def _histogram_json(hist: LengthHistogram) -> dict:
 
 def compute_stats(records: Sequence[SentenceRecord]) -> dict:
     """Manifest statistics: sentence count, length/frame histograms, vocab size."""
-    length_hist = LengthHistogram.from_lengths(len(r.text) for r in records)
     frame_hist = LengthHistogram.from_lengths(
         r.n_frames for r in records if r.n_frames is not None
     )
     vocab = {tok.lower() for r in records for tok in r.text}
     return {
         "n_sentences": len(records),
-        "length_histogram": _histogram_json(length_hist),
+        "length_histogram": _histogram_json(length_stats(records)),
         "frame_histogram": _histogram_json(frame_hist),
         "vocab_size": len(vocab),
     }

@@ -4,8 +4,8 @@ Three stages: fill low-confidence landmarks from the nearest confident frame,
 select the 76 retained keypoints, and flatten to the canonical 152-vector.
 The core takes one (T, 543, 3) array per clip: ``fill_low_confidence``, then
 ``flatten_video`` (one gather); ``process_word_video`` chains the two.  The
-frame-list form (``interpolate_low_confidence``, ``select_and_flatten``) runs
-the same code.  All functions are pure.
+frame-list form (``interpolate_low_confidence``, ``select_and_flatten``)
+calls those same two functions on stacked frames.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def interpolate_low_confidence(
 
 
 def select_and_flatten(frame: RawLandmarkFrame, sel: KeypointSelection) -> PoseFrame:
-    """Pick the selected keypoints and flatten to the canonical 152-vector."""
-    return PoseFrame(frame.stacked()[sel.global_indices(), 0:2].reshape(FRAME_DIM))
+    """``flatten_video`` of a one-frame clip: the canonical 152-vector."""
+    return PoseFrame(flatten_video(frame.stacked()[None], sel).frames[0])
 
 
 def flatten_video(stacked: np.ndarray, sel: KeypointSelection, source_id: str = "") -> PoseSequence:

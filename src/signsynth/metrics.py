@@ -114,7 +114,9 @@ def bleu_corpus(
     max_n: int = 4,
     smooth: bool = False,
 ) -> dict[int, float]:
-    """Corpus BLEU-n for every n in 1..max_n, on the [0, 100] scale."""
+    """Corpus BLEU-n for every n in 1..max_n, on the [0, 100] scale: the
+    BLEU of ``eval_pairs`` over the zipped pairs, whose BLEU-n reads only
+    orders up to n."""
     if len(candidates) != len(references):
         raise ValueError(
             f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
@@ -123,15 +125,8 @@ def bleu_corpus(
         raise ValueError("empty corpus")
     if not 1 <= max_n <= 4:
         raise ValueError(f"max_n must be in [1, 4], got {max_n}")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    for cand, ref in zip(candidates, references):
-        for i, (overlap, n_cand, _) in enumerate(_order_counts(cand, ref, max_n)):
-            matches[i] += overlap
-            totals[i] += n_cand
-    c = sum(len(tokens) for tokens in candidates)
-    r = sum(len(tokens) for tokens in references)
-    return _bleu_scores(matches, totals, c, r, smooth)
+    bleu = eval_pairs(list(zip(candidates, references)), smooth).bleu
+    return {n: bleu[n] for n in range(1, max_n + 1)}
 
 
 def _prf(overlap: float, n_cand: int, n_ref: int) -> tuple[float, float, float]:

@@ -42,17 +42,11 @@ class SignLexicon:
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.clips
 
-    def __len__(self) -> int:
-        return len(self.clips)
-
     def clip(self, word: str) -> PoseSequence:
         try:
             return self.clips[word.lower()]
         except KeyError:
             raise KeyError(f"word not in sign lexicon: {word!r}") from None
-
-    def words(self) -> set[str]:
-        return set(self.clips)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,6 @@ class Template:
     def slots(self) -> tuple[Slot, ...]:
         return tuple(e for e in self.elements if isinstance(e, Slot))
 
-    @property
-    def literals(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if isinstance(e, str))
-
     def render(self) -> str:
         """Canonical DSL source; parse(render(t)) reproduces t."""
         return " ".join(e.render() if isinstance(e, Slot) else e for e in self.elements)
@@ -169,10 +165,6 @@ def parse_template(src: str, template_id: str = "", phenomenon: str = "custom") 
     return Template(id=template_id, phenomenon=phenomenon, elements=tuple(elements))
 
 
-def _candidate_lists(t: Template, lex: SlotLexicon) -> list[tuple[LexiconEntry, ...]]:
-    return [lex.candidates(slot.category) for slot in t.slots]
-
-
 def _expansion_texts(t: Template, lex: SlotLexicon) -> Iterator[tuple[str, ...]]:
     """Distinct sentences in lexicographic candidate-index order.
 
@@ -180,7 +172,7 @@ def _expansion_texts(t: Template, lex: SlotLexicon) -> Iterator[tuple[str, ...]]
     contradicts an existing variable binding skips the whole subtree.
     """
     slots = t.slots
-    candidates = _candidate_lists(t, lex)
+    candidates = [lex.candidates(slot.category) for slot in slots]
     seen: set[tuple[str, ...]] = set()
     chosen: list[LexiconEntry] = []
 

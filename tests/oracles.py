@@ -147,17 +147,25 @@ def clipped_precision_counts(candidates, references, n):
     return matches, total
 
 
-def bleu_corpus_reference(candidates, references, max_n=4):
-    """Textbook corpus BLEU on [0, 100]; any zero precision zeroes the score."""
+def bleu_corpus_reference(candidates, references, max_n=4, smooth=False):
+    """Textbook corpus BLEU on [0, 100]; any zero precision zeroes the score.
+    With ``smooth``, the "exp" smoothing of Chen and Cherry (2014, method 3;
+    sacrebleu's "exp"): the k-th order that has n-grams but no clipped match
+    takes precision 1 / (2**k * total) in place of 0."""
     c = sum(len(x) for x in candidates)
     r = sum(len(x) for x in references)
     if c == 0:
         return {n: 0.0 for n in range(1, max_n + 1)}
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     precisions = []
+    k = 0
     for n in range(1, max_n + 1):
         matches, total = clipped_precision_counts(candidates, references, n)
-        precisions.append(matches / total if total > 0 else 0.0)
+        if smooth and total > 0 and matches == 0:
+            k += 1
+            precisions.append(1.0 / (2**k * total))
+        else:
+            precisions.append(matches / total if total > 0 else 0.0)
     scores = {}
     for n in range(1, max_n + 1):
         if any(p == 0.0 for p in precisions[:n]):

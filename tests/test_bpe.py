@@ -18,14 +18,15 @@ from signsynth.bpe import (
     load_model,
     save_model,
 )
+from signsynth.io import DataError
 
 from . import oracles
 
 
-def train_toy(sentences, extra_merges=20, specials=DEFAULT_SPECIALS):
+def train_toy(sentences, extra_merges=20):
     charset = {c for s in sentences for tok in s for c in tok}
-    base = len(specials) + 2 * len(charset)
-    return bpe_train(sentences, vocab_size=base + extra_merges, specials=specials)
+    base = len(DEFAULT_SPECIALS) + 2 * len(charset)
+    return bpe_train(sentences, vocab_size=base + extra_merges)
 
 
 class TestTrain:
@@ -123,15 +124,14 @@ class TestIncrementalTrainer:
     @example([["a</w>", "a</w>", "<w>", "w/>"]] * 3, 12)
     @settings(max_examples=300, deadline=None)
     def test_matches_recount_oracle(self, corpus, extra):
-        specials = ("<pad>", "<PERSON>")
-        charset = {c for s in corpus for tok in s if tok not in (*specials, "<unk>") for c in tok}
+        charset = {c for s in corpus for tok in s if tok not in DEFAULT_SPECIALS for c in tok}
         if not charset:
             return
-        # specials + <unk> + alphabet: zero merges at extra=0, and budgets up
-        # to 60 merges run past the point where no pair occurs twice.
-        vocab_size = len(specials) + 1 + 2 * len(charset) + extra
-        model = bpe_train(corpus, vocab_size, specials)
-        merges, vocab = oracles.bpe_train_reference(corpus, vocab_size, specials)
+        # specials + alphabet: zero merges at extra=0, and budgets up to 60
+        # merges run past the point where no pair occurs twice.
+        vocab_size = len(DEFAULT_SPECIALS) + 2 * len(charset) + extra
+        model = bpe_train(corpus, vocab_size)
+        merges, vocab = oracles.bpe_train_reference(corpus, vocab_size, DEFAULT_SPECIALS)
         assert model.merges == merges
         assert model.vocab == vocab
 
@@ -271,6 +271,17 @@ class TestModelFile:
         path.write_text('{"version": "bpe-v0", "merges": [], "vocab": {}, "specials": []}')
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_model_without_unk_names_file(self, tmp_path):
+        # bpe_train always reserves <unk>, and encode maps unknown symbols to it.
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"version": "bpe-v1", "merges": [], "vocab": {"<pad>": 0, "h": 1}, '
+            '"specials": ["<pad>"]}'
+        )
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: specials must include '<unk>'"
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="dense"):

@@ -697,6 +697,10 @@ class TestLineInputs:
         err = self.run(tmp_path, capsys, "config", b"vocab_sise = 20")
         assert "PATH:2: unknown setting 'vocab_sise'" in err
 
+    def test_repeated_config_setting_cites_line(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "config", b"min_freq = 4")
+        assert "PATH:2: setting 'min_freq' given twice" in err
+
     def test_bad_config_value_cites_line(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "config", b"vocab_size = many")
         assert "PATH:2: invalid literal for int()" in err
@@ -1019,10 +1023,12 @@ class TestSmallerFixes:
         b'{"version": "bpe-v1", "merges": [], "vocab": {"a": true}, "specials": []}',
         b'{"version": "bpe-v1", "merges": [], "vocab": {"a": 0}, "specials": [0]}',
         b'{"version": "bpe-v1", "merges": [], "vocab": {"a": 0}, "specials": "a"}',
+        b'{"version": "bpe-v1", "merges": [], "vocab": {"<pad>": 0, "h": 1},'
+        b' "specials": ["<pad>"]}',
     ], ids=[
         "list", "empty", "not-json", "bad-utf8", "no-merges", "int-merge", "short-merge",
         "merges-object", "vocab-list", "vocab-str-id", "vocab-bool-id", "int-special",
-        "specials-string",
+        "specials-string", "no-unk",
     ])
     def test_bad_bpe_model_names_file(self, tmp_path, capsys, model):
         model_path = tmp_path / "model.json"

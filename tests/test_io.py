@@ -127,7 +127,7 @@ class TestPoseFile:
                 tmp_path / f"{word}.psp", random_sequence(rng, source_id=word)
             )
         lex = load_sign_lexicon(tmp_path)
-        assert lex.words() == {"alpha", "beta"}
+        assert set(lex.clips) == {"alpha", "beta"}
 
     def test_empty_lexicon_dir_errors(self, tmp_path):
         with pytest.raises(DataError, match="no .psp"):

@@ -174,8 +174,6 @@ class TestArrayCore:
         assert seq.frames.shape == (n, FRAME_DIM)
         assert seq.source_id == "w"
         for t in range(n):
-            frame = RawLandmarkFrame.from_stacked(stacked[t])
-            assert np.array_equal(seq.frames[t], select_and_flatten(frame, sel).values)
             want = oracles.selection_index_map(
                 stacked[t].tolist(), sel.body_indices, sel.face_indices
             )

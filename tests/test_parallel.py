@@ -267,4 +267,4 @@ def test_ingest_summary_is_printed_once(cpus, tmp_path, rng, capfd):
         outs.add(out)
         assert sorted(p.name for p in out_dir.iterdir()) == [f"{w}.psp" for w in "abcde"]
     assert len(outs) == 1
-    assert io.load_sign_lexicon(tmp_path / "lex").words() == set("abcde")
+    assert set(io.load_sign_lexicon(tmp_path / "lex").clips) == set("abcde")

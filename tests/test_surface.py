@@ -1,19 +1,22 @@
 """The names that callers outside the package reach for: a bare
-``import signsynth`` loads nothing, and every library function the benchmark
-wraps by name still exists."""
+``import signsynth`` loads nothing, every library function the benchmark
+wraps by name still exists, and every public name has a caller."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import signsynth
 
-_CHILD_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_CHILD_PATH = _ROOT / "perfbench" / "child.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_child", _CHILD_PATH)
 child = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(child)
@@ -76,3 +79,35 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+# Public names that no caller in the searched files reaches, and why each stays:
+# save_templates and save_slot_lexicon are the write half of the two input
+# formats, tests/test_io.py's atomic-write cases use them, and the chain-level
+# differential tests of ROADMAP item 7 will write their workspaces with them.
+_UNREACHED_ON_PURPOSE = ["templates.save_slot_lexicon", "templates.save_templates"]
+
+
+def test_every_public_name_is_named_outside_its_definition():
+    # The callers: the package, the scripts, the benchmark, the acceptance
+    # gate and the README.  Unit tests do not count, so that code kept only
+    # for its own tests shows here.
+    files = [
+        *(p for d in ("src", "scripts", "perfbench") for p in sorted((_ROOT / d).rglob("*"))
+          if p.suffix in (".py", ".sh", ".md")),
+        _ROOT / "tests" / "test_acceptance.py",
+        _ROOT / "README.md",
+    ]
+    texts = {path: path.read_text(encoding="utf-8") for path in files}
+    named = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    unreached = []
+    for module in sorted(Path(signsynth.__file__).parent.glob("*.py")):
+        lines = texts[module].splitlines(keepends=True)
+        for node in ast.parse(texts[module]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            own = re.findall(r"\w+", "".join(lines[first - 1 : node.end_lineno]))
+            if named[node.name] == own.count(node.name):
+                unreached.append(f"{module.stem}.{node.name}")
+    assert sorted(unreached) == _UNREACHED_ON_PURPOSE

@@ -67,7 +67,7 @@ class TestParse:
     def test_seven_slot_paradigm(self):
         t = parse_template("Wh[] Aux_mat[] Subj[] V_mat[] Adv[] V_emb[] Obj[]")
         assert len(t.slots) == 7
-        assert len(t.literals) == 0
+        assert len(t.elements) == 7  # no literals
         assert [s.category for s in t.slots] == [
             "Wh", "Aux_mat", "Subj", "V_mat", "Adv", "V_emb", "Obj",
         ]
@@ -93,7 +93,7 @@ class TestParse:
 
     def test_literals_and_slots_interleave(self):
         t = parse_template("Det[] boy can V[]")
-        assert t.literals == ("boy", "can")
+        assert t.elements[1:3] == ("boy", "can")
         assert [s.category for s in t.slots] == ["Det", "V"]
 
     def test_uppercase_bare_token_rejected(self):
