@@ -5,8 +5,14 @@ Usage:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S [--seed K]
 
-Both checkouts are byte-compiled first (``python3 -m compileall src``).
-Pair i then runs ``perfbench/run.py --trace 0`` once in each checkout, the
+Both checkouts are byte-compiled first (``python3 -m compileall src``),
+and each builds the workload's inputs for the seed into its own
+``.perfbench/inputs`` cache, in a process of its own with that checkout's
+``src`` and ``perfbench`` on ``sys.path``.  A run that generates its inputs
+can read ``run.py``'s own peak as the chain's ``peak_rss_mb``, since a child
+process starts from the peak of the process that spawned it; with the
+inputs built beforehand, every pair reads a cached set.  Pair i then runs
+``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so a drift in
 machine speed falls on both sides alike.  Each checkout runs its own
 ``perfbench`` copy.  The script prints each pair's ``wall_s`` and whether
@@ -62,6 +68,24 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     }
 
 
+# Builds (workload, seed)'s inputs through perfbench's own cache, as run.py does.
+_BUILD_INPUTS = """
+import sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+workloads.inputs(workloads.WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(".perfbench", "inputs"))
+"""
+
+
+def build_inputs(tree: Path, workload: str, seed: int) -> None:
+    """Build the inputs ``perfbench/run.py`` reads in ``tree`` for (workload,
+    seed), in a process of its own, so that no timed run generates them."""
+    proc = subprocess.run([sys.executable, "-c", _BUILD_INPUTS, workload, str(seed)], cwd=tree)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {tree}: building the inputs failed (exit {proc.returncode})")
+
+
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str | None]:
     """One untraced perfbench run in ``tree``: its end-to-end metric values
     and its artifact digest.  A run that is not ``correct`` ends the script."""
@@ -93,6 +117,7 @@ def main(argv=None) -> int:
                   for m in json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
     for tree in (args.parent, args.change):
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+        build_inputs(tree, args.workload, args.seed)
 
     runs: list[tuple[dict, dict]] = []
     digests_equal = 0

@@ -234,15 +234,20 @@ def _cmd_tokenize(args) -> int:
     return 0
 
 
-def _eval_pair(obj: dict) -> tuple[list[str], list[str]]:
+def _eval_pair(obj: dict, strings: dict[str, str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The metric tokens of one pair; each token is the equal string that
+    ``strings`` already holds, or is added to it."""
     candidate, reference = obj["candidate"], obj["reference"]
     if not isinstance(candidate, str) or not isinstance(reference, str):
         raise ValueError("candidate and reference must be strings")
-    return metrics.tokenize_for_metrics(candidate), metrics.tokenize_for_metrics(reference)
+    share = strings.setdefault
+    cand, ref = metrics.tokenize_for_metrics(candidate), metrics.tokenize_for_metrics(reference)
+    return tuple(map(share, cand, cand)), tuple(map(share, ref, ref))
 
 
 def _cmd_eval(args) -> int:
-    pairs = [pair for _, pair in io.read_jsonl(args.input, _eval_pair)]
+    strings: dict[str, str] = {}  # one string per distinct token of the input
+    pairs = [pair for _, pair in io.read_jsonl(args.input, lambda obj: _eval_pair(obj, strings))]
     report = metrics.eval_pairs(pairs, smooth=args.smooth)
     for n in sorted(report.bleu):
         print(f"BLEU-{n}: {report.bleu[n]:.2f}")

@@ -26,7 +26,9 @@ order ``id, text, phenomenon, word_order[, pose_path][, n_frames]``, with
 ``\\u`` escape: the bytes ``json.dumps`` gives for that object.
 ``record_from_json`` only maps a line's keys to ``SentenceRecord``, whose
 field checks are the manifest's record rules, so any record can be written
-to a manifest.
+to a manifest.  Each manifest or text corpus read keeps one dict of the
+strings it has met, so its records share one string per distinct token:
+a Zipfian corpus repeats a few thousand types across all its sentences.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .pose import (
     PoseSequence,
     RawLandmarkFrame,
     SentenceRecord,
+    _all_str,
     landmark_group,
 )
 from .stitch import SignLexicon
@@ -465,13 +468,22 @@ def encode_token_ids(record_id: str, ids: Sequence[int]) -> str:
     return f'{{"id": {_json_str(record_id)}, "ids": [{", ".join(map(int.__repr__, ids))}]}}'
 
 
-def record_from_json(obj: dict) -> SentenceRecord:
-    """The record one manifest line holds; ``SentenceRecord`` checks its fields."""
+def record_from_json(obj: dict, strings: dict[str, str]) -> SentenceRecord:
+    """The record one manifest line holds; ``SentenceRecord`` checks its fields.
+    Each token, ``phenomenon`` and ``word_order`` that is a string is replaced
+    by the equal string that ``strings`` already holds, or added to it, so the
+    records read through one dict share one string per distinct value.  Any
+    other value goes to ``SentenceRecord`` unchanged."""
+    share = strings.setdefault
+    record_id, text = obj["id"], obj["text"]  # "id" first: its KeyError is the one reported
+    if type(text) is list and _all_str(text):
+        text = tuple(map(share, text, text))
+    phenomenon, word_order = obj.get("phenomenon", "custom"), obj.get("word_order", "swo")
     return SentenceRecord(  # positional, in field order: faster than keywords
-        obj["id"],
-        obj["text"],
-        obj.get("phenomenon", "custom"),
-        obj.get("word_order", "swo"),
+        record_id,
+        text,
+        share(phenomenon, phenomenon) if type(phenomenon) is str else phenomenon,
+        share(word_order, word_order) if type(word_order) is str else word_order,
         obj.get("pose_path"),
         obj.get("n_frames"),
     )
@@ -489,9 +501,12 @@ def write_manifest(path, records: Iterable[SentenceRecord]) -> None:
 
 
 def read_manifest(path) -> list[SentenceRecord]:
+    """The records of a manifest, in line order; its records share one string
+    per distinct token, phenomenon and word order (see ``record_from_json``)."""
     records = []
     seen: set[str] = set()
-    for lineno, record in read_jsonl(path, record_from_json):
+    strings: dict[str, str] = {}
+    for lineno, record in read_jsonl(path, lambda obj: record_from_json(obj, strings)):
         if record.id in seen:
             raise DataError(f"{path}:{lineno}: duplicate record id {record.id!r}")
         seen.add(record.id)
@@ -501,10 +516,17 @@ def read_manifest(path) -> list[SentenceRecord]:
 
 def read_text_corpus(path) -> list[SentenceRecord]:
     """Plain text, one whitespace-tokenized sentence per line; blank lines
-    skipped.  The record of line 7 has the id ``line000007``."""
+    skipped.  The record of line 7 has the id ``line000007``.  The records
+    share one string per distinct token."""
+    share = {}.setdefault
+
+    def tokens(line: str) -> tuple[str, ...] | None:
+        words = line.split()
+        return tuple(map(share, words, words)) or None
+
     return [
-        SentenceRecord(id=f"line{lineno:06d}", text=tokens)
-        for lineno, tokens in read_lines(path, lambda line: line.split() or None)
+        SentenceRecord(id=f"line{lineno:06d}", text=text)
+        for lineno, text in read_lines(path, tokens)
     ]
 
 

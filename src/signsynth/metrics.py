@@ -20,6 +20,8 @@ from typing import Iterator, Mapping, Sequence
 
 Tokens = Sequence[str]
 
+_MAX_N = 4  # the longest n-gram order: BLEU-1..4
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -68,10 +70,10 @@ def _overlap(cand_counts: Counter, ref_counts: Counter) -> int:
     return sum(min(k, ref_counts[g]) for g, k in cand_counts.items())
 
 
-def _order_counts(cand: Tokens, ref: Tokens, max_n: int) -> Iterator[tuple[int, int, int]]:
+def _order_counts(cand: Tokens, ref: Tokens) -> Iterator[tuple[int, int, int]]:
     """(clipped matches, candidate n-grams, reference n-grams) of one pair,
-    for n = 1..max_n."""
-    for n in range(1, max_n + 1):
+    for n = 1.._MAX_N."""
+    for n in range(1, _MAX_N + 1):
         cand_counts = _ngram_counts(cand, n)
         ref_counts = _ngram_counts(ref, n)
         yield _overlap(cand_counts, ref_counts), cand_counts.total(), ref_counts.total()
@@ -123,8 +125,8 @@ def bleu_corpus(
         )
     if not candidates:
         raise ValueError("empty corpus")
-    if not 1 <= max_n <= 4:
-        raise ValueError(f"max_n must be in [1, 4], got {max_n}")
+    if not 1 <= max_n <= _MAX_N:
+        raise ValueError(f"max_n must be in [1, {_MAX_N}], got {max_n}")
     bleu = eval_pairs(list(zip(candidates, references)), smooth).bleu
     return {n: bleu[n] for n in range(1, max_n + 1)}
 
@@ -166,15 +168,15 @@ def eval_pairs(
     pair's n-gram counts feed both its BLEU sums and its ROUGE-1/2."""
     if not pairs:
         raise ValueError("empty corpus")
-    matches = [0] * 4
-    totals = [0] * 4
+    matches = [0] * _MAX_N
+    totals = [0] * _MAX_N
     c = r = 0
     rouge12: tuple[list, list] = ([], [])
     rougeL = []
     for cand, ref in pairs:
         c += len(cand)
         r += len(ref)
-        for i, (overlap, n_cand, n_ref) in enumerate(_order_counts(cand, ref, 4)):
+        for i, (overlap, n_cand, n_ref) in enumerate(_order_counts(cand, ref)):
             matches[i] += overlap
             totals[i] += n_cand
             if i < 2:

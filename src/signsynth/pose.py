@@ -194,11 +194,12 @@ def _all_str(items) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord:
     """One manifest row: sentence text plus provenance and pose reference.
     Every field is checked here (``text`` a list or tuple of str, kept as a
-    tuple; ``n_frames`` an int, not a bool), so any record can be written."""
+    tuple; ``n_frames`` an int, not a bool), so any record can be written.
+    Slotted, with no ``__dict__``: a loaded manifest holds one per line."""
 
     id: str
     text: tuple[str, ...]

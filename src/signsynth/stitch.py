@@ -12,7 +12,7 @@ Per-sentence randomness (permutation, jitter) is seeded from
 Datasets are stitched one sentence at a time, each handed to the writer as
 soon as it is made, so no pose frames are held beyond the sentence being
 written.  The records are held: the input records, the pre-pass's
-``(record, words)`` pairs and the output records, about 1.3 KB of memory per
+``(record, words)`` pairs and the output records, about 0.7 KB of memory per
 record.  With ``jobs`` above 1, forked workers stitch contiguous runs of
 sentences.
 """

@@ -66,6 +66,11 @@ class TestMain:
             {"end_to_end": [{"name": "wall_s", "better": "lower"}]}
         ))
         calls = []
+        built = []
+
+        def build_inputs(tree, workload, seed):
+            assert not calls, "inputs are built before the first pair"
+            built.append((tree, workload, seed))
 
         def run_benchmark(tree, workload, seed, seconds):
             calls.append(tree)
@@ -73,10 +78,12 @@ class TestMain:
             digest = "b" if tree == trees["change"] and calls.count(tree) == 2 else "a"
             return {"wall_s": 2.0 if tree == trees["parent"] else 1.0}, digest
 
+        monkeypatch.setattr(bench_pairs, "build_inputs", build_inputs)
         monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
         argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w",
                 "--pairs", "3", "--seconds", "1"]
         assert bench_pairs.main(argv) == 0
+        assert built == [(trees["parent"], "w", 1), (trees["change"], "w", 1)]
         lines = capsys.readouterr().out.splitlines()
         assert calls == [trees["parent"], trees["change"], trees["change"], trees["parent"],
                          trees["parent"], trees["change"]]
@@ -84,3 +91,29 @@ class TestMain:
         summary = json.loads(lines[-1])
         assert summary["digests_equal"] == 2
         assert summary["summary"]["wall_s"]["wins"] == 3
+
+
+class TestBuildInputs:
+    def test_builds_through_the_checkouts_own_workloads_and_cache(self, tmp_path):
+        # A stand-in checkout: its workloads module records the call in the
+        # cache directory it is given, and imports a module from its src.
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "marker.py").write_text("NAME = 'from src'\n")
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "workloads.py").write_text(
+            "import json\n"
+            "import marker\n"
+            "WORKLOADS = {'w': 'the w workload'}\n"
+            "def inputs(workload, seed, cache):\n"
+            "    cache.mkdir(parents=True)\n"
+            "    (cache / 'built.json').write_text(json.dumps([workload, seed, marker.NAME]))\n"
+        )
+        bench_pairs.build_inputs(tmp_path, "w", 41)
+        built = json.loads((tmp_path / ".perfbench" / "inputs" / "built.json").read_text())
+        assert built == ["the w workload", 41, "from src"]
+
+    def test_a_failed_build_ends_the_script(self, tmp_path):
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "workloads.py").write_text("WORKLOADS = {}\n")
+        with pytest.raises(SystemExit, match="building the inputs failed"):
+            bench_pairs.build_inputs(tmp_path, "w", 1)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import decimal
 import json
 import math
 import os
+import pickle
+import random
 import re
 import struct
 import tempfile
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signsynth import bpe, cli, curriculum, io, templates
+from signsynth import bpe, cli, curriculum, io, metrics, templates
 from signsynth.io import (
     DataError,
     atomic_open,
@@ -316,6 +321,100 @@ class TestManifest:
             assert read_manifest(path) == records
 
 
+def _zipf_sentences(n: int, seed: int = 3) -> list[list[str]]:
+    """``n`` sentences of 3-12 tokens drawn with Zipf weights over 2,000 types."""
+    rng = random.Random(seed)
+    types = [f"tok{i:04d}" for i in range(2000)]
+    weights = [1 / rank for rank in range(1, 2001)]
+    return [rng.choices(types, weights, k=rng.randint(3, 12)) for _ in range(n)]
+
+
+def _held_bytes(read, path) -> tuple[list, int]:
+    """What ``read(path)`` returns, and the bytes it still holds, by ``tracemalloc``."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = read(path)
+        return records, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestLoadedRecords:
+    """What a loaded record holds: one string per distinct token across a
+    read, and no ``__dict__``."""
+
+    N = 5000
+    BUDGET = 480  # bytes held per record; one fresh string per token is about 880
+
+    def test_manifest_bytes_per_record(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_manifest(path, [
+            SentenceRecord(f"s{i:06d}", tuple(text), "corpus", "swo", f"/poses/s{i:06d}.psp", 40 + i % 90)
+            for i, text in enumerate(_zipf_sentences(self.N))
+        ])
+        records, held = _held_bytes(read_manifest, path)
+        assert len(records) == self.N
+        assert held / self.N < self.BUDGET
+
+    def test_text_corpus_bytes_per_record(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(text) + "\n" for text in _zipf_sentences(self.N)))
+        records, held = _held_bytes(read_text_corpus, path)
+        assert len(records) == self.N
+        assert held / self.N < self.BUDGET
+
+    def test_manifest_shares_equal_strings(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "text": ["hello", "world"], "phenomenon": "corpus", "word_order": "rwo"}\n'
+            '{"id": "b", "text": ["world", "hello"], "phenomenon": "corpus", "word_order": "rwo"}\n'
+        )
+        a, b = read_manifest(path)
+        assert a.text == b.text[::-1] and a.text[0] is b.text[1] and a.text[1] is b.text[0]
+        assert a.phenomenon is b.phenomenon and a.word_order is b.word_order
+
+    def test_text_corpus_shares_equal_tokens(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("the cats sat\nthe dogs sat\n")
+        a, b = read_text_corpus(path)
+        assert a.text[0] is b.text[0] and a.text[2] is b.text[2]
+
+    def test_eval_shares_equal_tokens(self, tmp_path, monkeypatch):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            '{"candidate": "the cats sat", "reference": "The cats ran"}\n'
+            '{"candidate": "cats ran", "reference": "the dogs sat"}\n'
+        )
+        seen = []
+        eval_pairs = metrics.eval_pairs
+
+        def spy(pairs, smooth=False):
+            seen.extend(pairs)
+            return eval_pairs(pairs, smooth)
+
+        monkeypatch.setattr(metrics, "eval_pairs", spy)
+        assert cli.cli(["eval", "--in", str(path)]) == 0
+        (cand1, ref1), (cand2, ref2) = seen
+        assert cand1[0] is ref1[0] is ref2[0]  # "the", also lowercased from "The"
+        assert cand1[1] is ref1[1] is cand2[0] and ref1[2] is cand2[1] and cand1[2] is ref2[2]
+
+    def test_slotted_record_pickles_copies_and_replaces(self):
+        record = SentenceRecord("r1", ["a", "b"], "corpus", "rwo", "r1.psp", 12)
+        assert not hasattr(record, "__dict__")
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert again == record and type(again.text) is tuple
+        moved = dataclasses.replace(record, pose_path="x.psp", n_frames=3)
+        assert moved.text is record.text and moved.n_frames == 3
+        with pytest.raises(ValueError, match="n_frames must be at least 1"):
+            dataclasses.replace(record, n_frames=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.text = ("c",)
+
+
 # Any code point: control characters, quotes and backslashes, astral
 # characters and lone surrogates, each drawn often enough to show up.
 _ANY_TEXT = st.text(
@@ -405,7 +504,7 @@ class TestManifestCodec:
     @settings(max_examples=300, deadline=None)
     def test_record_from_json_equals_reference(self, obj):
         want = _decoded(lambda o: oracles.record_from_json(o, SentenceRecord), obj)
-        assert _decoded(record_from_json, obj) == want
+        assert _decoded(lambda o: record_from_json(o, {}), obj) == want
 
     @given(_manifest_objects(every_key=True))
     @settings(max_examples=300, deadline=None)
