@@ -5,8 +5,9 @@ final character; training repeatedly merges the most frequent adjacent
 symbol pair (ties break to the lexicographically smaller pair) until the
 vocabulary budget is spent or no pair occurs twice.  Pair counts are kept
 up to date incrementally (Sennrich et al. 2016): a merge re-counts only the
-word types that contain the merged pair.  Special tokens are atomic: they
-take the lowest ids, are never split, and never participate in merges.
+word types that contain the merged pair.  Every model holds the same six
+special tokens, ``DEFAULT_SPECIALS`` (with the ``<PERSON>`` and ``<UNKNOWN>``
+that ``postprocess`` writes), at ids 0-5, never split and never in a merge.
 
 The base alphabet contains both the plain and the end-marked variant of
 every character seen in training, so any string over the training alphabet
@@ -26,6 +27,7 @@ from .io import DataError, _json_object, atomic_open
 END_OF_WORD = "</w>"
 UNK = "<unk>"
 DEFAULT_SPECIALS = ("<pad>", "<bos>", "<eos>", UNK, "<PERSON>", "<UNKNOWN>")
+_SPECIAL_SET = frozenset(DEFAULT_SPECIALS)
 
 MODEL_VERSION = "bpe-v1"
 
@@ -34,7 +36,6 @@ MODEL_VERSION = "bpe-v1"
 class BpeModel:
     merges: tuple[tuple[str, str], ...]
     vocab: Mapping[str, int]
-    specials: tuple[str, ...]
     # Derived once per model: merge ranks, and word -> ids for every word
     # encoded so far (seeded with the specials, which encode atomically).
     _ranks: dict = field(init=False, compare=False, repr=False)
@@ -43,7 +44,6 @@ class BpeModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "merges", tuple((a, b) for a, b in self.merges))
         object.__setattr__(self, "vocab", dict(self.vocab))
-        object.__setattr__(self, "specials", tuple(self.specials))
         if len(set(self.merges)) != len(self.merges):
             raise ValueError("duplicate merges in model")
         if sorted(self.vocab.values()) != list(range(len(self.vocab))):
@@ -51,20 +51,15 @@ class BpeModel:
         for a, b in self.merges:
             if a + b not in self.vocab:
                 raise ValueError(f"merge result {a + b!r} missing from vocab")
-        for i, special in enumerate(self.specials):
+        for i, special in enumerate(DEFAULT_SPECIALS):
             if self.vocab.get(special) != i:
                 raise ValueError(f"special {special!r} must have reserved id {i}")
-        if UNK not in self.specials:
-            raise ValueError(f"specials must include {UNK!r}")
         object.__setattr__(self, "_ranks", {pair: i for i, pair in enumerate(self.merges)})
-        object.__setattr__(self, "_word_ids", {s: (i,) for i, s in enumerate(self.specials)})
+        object.__setattr__(self, "_word_ids", {s: (i,) for i, s in enumerate(DEFAULT_SPECIALS)})
 
     @property
     def unk_id(self) -> int:
         return self.vocab[UNK]
-
-    def id_to_token(self) -> dict[int, str]:
-        return {i: tok for tok, i in self.vocab.items()}
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
@@ -78,13 +73,11 @@ def bpe_train(corpus: Iterable[Sequence[str]], vocab_size: int) -> BpeModel:
     per merge.  A budget equal to specials + alphabet yields zero merges;
     anything smaller is an error.
     """
-    special_set = set(DEFAULT_SPECIALS)
-
     word_counts: Counter = Counter()
     charset: set[str] = set()
     for sentence in corpus:
         for token in sentence:
-            if not token or token in special_set:
+            if not token or token in _SPECIAL_SET:
                 continue
             word_counts[token] += 1
             charset.update(token)
@@ -151,7 +144,7 @@ def bpe_train(corpus: Iterable[Sequence[str]], vocab_size: int) -> BpeModel:
     for token in (*DEFAULT_SPECIALS, *alphabet, *(a + b for a, b in merges)):
         if token not in vocab:
             vocab[token] = len(vocab)
-    return BpeModel(merges=tuple(merges), vocab=vocab, specials=DEFAULT_SPECIALS)
+    return BpeModel(merges=tuple(merges), vocab=vocab)
 
 
 def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -203,8 +196,7 @@ def encode(model: BpeModel, text: str) -> list[int]:
 
 def decode(model: BpeModel, ids: Sequence[int]) -> str:
     """Inverse of encode; end-of-word markers become spaces."""
-    inverse = model.id_to_token()
-    special_set = set(model.specials)
+    inverse = {i: tok for tok, i in model.vocab.items()}
     words: list[str] = []
     buf = ""
     for i in ids:
@@ -212,7 +204,7 @@ def decode(model: BpeModel, ids: Sequence[int]) -> str:
             token = inverse[i]
         except KeyError:
             raise ValueError(f"unknown token id {i}") from None
-        if token in special_set:
+        if token in _SPECIAL_SET:
             if buf:
                 words.append(buf)
                 buf = ""
@@ -232,7 +224,7 @@ def save_model(path, model: BpeModel) -> None:
         "version": MODEL_VERSION,
         "merges": [list(pair) for pair in model.merges],
         "vocab": dict(model.vocab),
-        "specials": list(model.specials),
+        "specials": list(DEFAULT_SPECIALS),
     }
     with atomic_open(path) as fh:
         json.dump(payload, fh, ensure_ascii=False)
@@ -241,8 +233,8 @@ def save_model(path, model: BpeModel) -> None:
 
 def load_model(path) -> BpeModel:
     """Read a model file written by ``save_model``.  A file that is not one,
-    including one whose fields have the wrong types, is a DataError naming
-    the path."""
+    including one whose fields have the wrong types or whose specials are not
+    ``DEFAULT_SPECIALS`` in order, is a DataError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = _json_object(fh.read())
@@ -258,9 +250,9 @@ def load_model(path) -> BpeModel:
             raise ValueError("merges must be a list of pairs of strings")
         if not isinstance(vocab, dict) or not all(type(i) is int for i in vocab.values()):
             raise ValueError("vocab must map strings to ints")
-        if not isinstance(specials, list) or not all(isinstance(s, str) for s in specials):
-            raise ValueError("specials must be a list of strings")
-        return BpeModel(merges=merges, vocab=vocab, specials=specials)
+        if specials != list(DEFAULT_SPECIALS):
+            raise ValueError(f"specials must be {list(DEFAULT_SPECIALS)}")
+        return BpeModel(merges=merges, vocab=vocab)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from None
     except ValueError as exc:  # also UnicodeDecodeError

@@ -215,9 +215,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_tokenize(args) -> int:
     if args.action == "train":
-        sentences = [r.text for r in io.read_manifest(args.input)]
-        for path in args.extra or []:
-            sentences.extend(r.text for r in io.read_manifest(path))
+        paths = [args.input, *(args.extra or [])]
+        sentences = [r.text for path in paths for r in io.read_manifest(path)]
+        if not sentences:
+            raise io.DataError(f"{', '.join(paths)}: no records to train on")
         model = bpe.bpe_train(sentences, args.vocab_size)
         bpe.save_model(args.model, model)
         print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
@@ -248,6 +249,8 @@ def _eval_pair(obj: dict, strings: dict[str, str]) -> tuple[tuple[str, ...], tup
 def _cmd_eval(args) -> int:
     strings: dict[str, str] = {}  # one string per distinct token of the input
     pairs = [pair for _, pair in io.read_jsonl(args.input, lambda obj: _eval_pair(obj, strings))]
+    if not pairs:
+        raise io.DataError(f"{args.input}: no candidate-reference pairs")
     report = metrics.eval_pairs(pairs, smooth=args.smooth)
     for n in sorted(report.bleu):
         print(f"BLEU-{n}: {report.bleu[n]:.2f}")

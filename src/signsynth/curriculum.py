@@ -86,7 +86,7 @@ def write_schedule_csv(
     ``random()`` of a step's generator picks the source, and the item index
     is not exported, so the rows are computed a block of steps at a time.
     """
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("step,real_fraction,source\r\n")
         if total_steps > 0 and (real_size < 1 or synth_size < 1):
             raise ValueError("dataset sizes must be >= 1")

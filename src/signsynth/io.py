@@ -55,6 +55,7 @@ from .pose import (
     PoseSequence,
     RawLandmarkFrame,
     SentenceRecord,
+    TOTAL_LANDMARKS,
     _all_str,
     landmark_group,
 )
@@ -141,13 +142,14 @@ def _stage(target: Path, pose_set: bool = False) -> Path:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
-    """Stream ``path`` via a temp file staged beside it; ``mode`` is ``"w"`` (UTF-8) or ``"wb"``."""
+def atomic_open(path, mode: str = "w") -> Iterator[IO]:
+    """Stream ``path`` via a temp file staged beside it; ``mode`` is ``"w"``
+    (UTF-8, line ends written as given on every platform) or ``"wb"``."""
     with outputs():
         tmp = _stage(Path(path))
-        encoding = None if "b" in mode else "utf-8"
+        text_args = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
         # "x": an exclusive create, under the umask as for a plain open()
-        with open(tmp, mode.replace("w", "x"), encoding=encoding, newline=newline) as fh:
+        with open(tmp, mode.replace("w", "x"), **text_args) as fh:
             yield fh
 
 
@@ -373,10 +375,9 @@ def _raw_frame(obj: dict) -> np.ndarray:
     )
 
 
-_FRAME_POINTS = sum(LANDMARK_GROUPS.values())  # 543
-_FRAME_VALUES = 3 * _FRAME_POINTS
+_FRAME_VALUES = 3 * TOTAL_LANDMARKS
 # The bytes '"', '.' and '[' that a canonical frame line holds.
-_FRAME_MARKS, _FRAME_MARK_COUNTS = b'".[', [8, _FRAME_VALUES, 4 + _FRAME_POINTS]
+_FRAME_MARKS, _FRAME_MARK_COUNTS = b'".[', [8, _FRAME_VALUES, 4 + TOTAL_LANDMARKS]
 
 
 # Why a line that _plain_frame accepts reads exactly as json and
@@ -415,7 +416,7 @@ def _plain_frame(line: str) -> np.ndarray | None:
     except (TypeError, ValueError):  # a point or value that is not a list or number
         return None
     with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
-        frame = values.astype(np.float32).reshape(_FRAME_POINTS, 3)
+        frame = values.astype(np.float32).reshape(TOTAL_LANDMARKS, 3)
     if not np.isfinite(frame).all() or frame[:, 2].min() < 0.0 or frame[:, 2].max() > 1.0:
         return None
     return frame

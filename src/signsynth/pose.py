@@ -8,7 +8,9 @@ vector with the canonical layout::
     [body (11 kp), face (23 kp), left hand (21 kp), right hand (21 kp)]
 
 with each keypoint contributing adjacent (x, y) values and indices ascending
-within each group.  All types are immutable values (backing arrays are
+within each group.  The selection is a constant (``SELECTED_BODY_INDICES``,
+``SELECTED_FACE_INDICES``): a pose file does not record which keypoints
+fill its 152 values.  All types are immutable values (backing arrays are
 read-only copies), which forked ``--jobs`` workers share copy-on-write, and
 each checks its fields when it is built: a ``SentenceRecord`` holds only what
 a manifest line can carry.
@@ -25,11 +27,6 @@ BODY_LANDMARKS = 33
 FACE_LANDMARKS = 468
 HAND_LANDMARKS = 21
 TOTAL_LANDMARKS = BODY_LANDMARKS + FACE_LANDMARKS + 2 * HAND_LANDMARKS  # 543
-
-SELECTED_BODY = 11
-SELECTED_FACE = 23
-SELECTED_KEYPOINTS = SELECTED_BODY + SELECTED_FACE + 2 * HAND_LANDMARKS  # 76
-FRAME_DIM = 2 * SELECTED_KEYPOINTS  # 152
 
 # Landmark group sizes and global index offsets, in the canonical body ->
 # face -> left -> right ordering used whenever frames are stacked into a
@@ -53,12 +50,19 @@ EXCLUDED_BODY = frozenset(
     {26, 28, 30, 32, 25, 27, 29, 31, 1, 3, 4, 6, 9, 10, 17, 18, 19, 20, 21, 22, 23, 24}
 )
 
+SELECTED_BODY_INDICES = tuple(i for i in range(BODY_LANDMARKS) if i not in EXCLUDED_BODY)
+
 # Face mesh points kept: mouth corners, outer lips, eyebrows, eye contours,
 # and the nose top.
 SELECTED_FACE_INDICES = (
     0, 9, 17, 33, 61, 70, 105, 107, 133, 153, 158, 161, 163,
     263, 291, 300, 334, 336, 362, 380, 385, 388, 390,
 )
+
+SELECTED_BODY = len(SELECTED_BODY_INDICES)  # 11
+SELECTED_FACE = len(SELECTED_FACE_INDICES)  # 23
+SELECTED_KEYPOINTS = SELECTED_BODY + SELECTED_FACE + 2 * HAND_LANDMARKS  # 76
+FRAME_DIM = 2 * SELECTED_KEYPOINTS  # 152
 
 
 def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -231,48 +235,28 @@ class SentenceRecord:
         object.__setattr__(self, "text", tuple(text))
 
 
-def _validated_indices(indices, size: int, bound: int, name: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if len(idx) != size:
-        raise ValueError(f"{name}: expected {size} indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"{name}: indices must be distinct")
-    if list(idx) != sorted(idx):
-        raise ValueError(f"{name}: indices must be sorted ascending")
-    if idx and (idx[0] < 0 or idx[-1] >= bound):
-        raise ValueError(f"{name}: indices must lie in [0, {bound})")
-    return idx
+# Positions of the selected keypoints in a stacked (543, 3) frame, in the
+# canonical [body, face, left hand, right hand] order.
+_GLOBAL_INDICES = np.concatenate([
+    np.add(SELECTED_BODY_INDICES, GROUP_OFFSETS["body"]),
+    np.add(SELECTED_FACE_INDICES, GROUP_OFFSETS["face"]),
+    np.arange(GROUP_OFFSETS["left_hand"], TOTAL_LANDMARKS),  # both hands, every point
+])
+_GLOBAL_INDICES.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class KeypointSelection:
-    """Which body and face landmarks survive selection (hands always do)."""
+    """The 76 keypoints every frame keeps (11 body, 23 face, both hands)."""
 
-    body_indices: tuple[int, ...] = field(default_factory=tuple)
-    face_indices: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "body_indices",
-            _validated_indices(self.body_indices, SELECTED_BODY, BODY_LANDMARKS, "body_indices"),
-        )
-        object.__setattr__(
-            self,
-            "face_indices",
-            _validated_indices(self.face_indices, SELECTED_FACE, FACE_LANDMARKS, "face_indices"),
-        )
+    body_indices: tuple[int, ...] = field(default=SELECTED_BODY_INDICES, init=False)
+    face_indices: tuple[int, ...] = field(default=SELECTED_FACE_INDICES, init=False)
 
     def global_indices(self) -> np.ndarray:
-        """Selected landmark positions into the stacked 543-landmark array."""
-        body = np.asarray(self.body_indices) + GROUP_OFFSETS["body"]
-        face = np.asarray(self.face_indices) + GROUP_OFFSETS["face"]
-        left = np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["left_hand"]
-        right = np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["right_hand"]
-        return np.concatenate([body, face, left, right])
+        """Selected positions in a stacked 543-landmark frame; one read-only array."""
+        return _GLOBAL_INDICES
 
 
 def default_selection() -> KeypointSelection:
     """The standard 76-keypoint selection: 11 body + 23 face + both hands."""
-    body = tuple(i for i in range(BODY_LANDMARKS) if i not in EXCLUDED_BODY)
-    return KeypointSelection(body_indices=body, face_indices=SELECTED_FACE_INDICES)
+    return KeypointSelection()

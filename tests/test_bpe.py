@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 
@@ -21,6 +22,22 @@ from signsynth.bpe import (
 from signsynth.io import DataError
 
 from . import oracles
+
+
+# Specials lists other than DEFAULT_SPECIALS.  ``model_with_specials`` gives
+# each a vocab that reserves it, so only the specials rule rejects the file.
+OTHER_SPECIALS = {
+    "reordered": [*DEFAULT_SPECIALS[:4], "<UNKNOWN>", "<PERSON>"],
+    "no-person": [s for s in DEFAULT_SPECIALS if s != "<PERSON>"],
+    "seventh": [*DEFAULT_SPECIALS, "<PLACE>"],
+}
+
+
+def model_with_specials(specials) -> bytes:
+    """A model file's bytes: ``specials`` at ids 0.., then the word "a"."""
+    vocab = {tok: i for i, tok in enumerate([*specials, "a", "a" + END_OF_WORD])}
+    payload = {"version": "bpe-v1", "merges": [], "vocab": vocab, "specials": specials}
+    return json.dumps(payload).encode()
 
 
 def train_toy(sentences, extra_merges=20):
@@ -96,7 +113,7 @@ class TestTrain:
 
     def test_specials_reserved_low_ids(self):
         model = train_toy([["hi", "<PERSON>"]])
-        for i, special in enumerate(model.specials):
+        for i, special in enumerate(DEFAULT_SPECIALS):
             assert model.vocab[special] == i
 
     def test_ids_dense(self):
@@ -106,8 +123,8 @@ class TestTrain:
     def test_specials_never_inside_merges(self):
         model = train_toy([["<PERSON>", "went", "home", "went", "home"]])
         for a, b in model.merges:
-            assert a not in model.specials
-            assert b not in model.specials
+            assert a not in DEFAULT_SPECIALS
+            assert b not in DEFAULT_SPECIALS
 
 
 # Small alphabets make count ties frequent; repeated letters give overlapping
@@ -225,7 +242,7 @@ class TestEncodeCache:
         assert len(fine_ids) < len(coarse_ids)
         assert encode(coarse, "abab baba") == coarse_ids
         # A model loaded fresh encodes the same as the warm one.
-        assert encode(BpeModel(fine.merges, fine.vocab, fine.specials), "abab baba") == fine_ids
+        assert encode(BpeModel(fine.merges, fine.vocab), "abab baba") == fine_ids
 
     def test_specials_atomic_after_cache_warm(self):
         model = train_toy([["hello", "<PERSON>"]])
@@ -249,7 +266,7 @@ class TestEncodeCache:
 
     def test_cache_not_part_of_equality(self):
         model = train_toy([["cache", "me"]])
-        fresh = BpeModel(model.merges, model.vocab, model.specials)
+        fresh = BpeModel(model.merges, model.vocab)
         encode(model, "cache me")
         assert model == fresh
         assert "_word_ids" not in repr(model)
@@ -281,10 +298,26 @@ class TestModelFile:
         )
         with pytest.raises(DataError) as exc:
             load_model(path)
-        assert str(exc.value) == f"{path}: specials must include '<unk>'"
+        assert str(exc.value) == f"{path}: specials must be {list(DEFAULT_SPECIALS)}"
+
+    @pytest.mark.parametrize("specials", OTHER_SPECIALS.values(), ids=OTHER_SPECIALS.keys())
+    def test_specials_must_be_the_six(self, tmp_path, specials):
+        path = tmp_path / "model.json"
+        path.write_bytes(model_with_specials(specials))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: specials must be {list(DEFAULT_SPECIALS)}"
+
+    def test_specials_are_a_constant(self, tmp_path):
+        # A model is built from merges and vocab alone; its file lists the six.
+        with pytest.raises(TypeError):
+            BpeModel((), {}, DEFAULT_SPECIALS)
+        path = tmp_path / "model.json"
+        save_model(path, train_toy([["six"]]))
+        assert json.loads(path.read_text())["specials"] == list(DEFAULT_SPECIALS)
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="dense"):
-            BpeModel(merges=(), vocab={"a": 0, "b": 2}, specials=())
+            BpeModel(merges=(), vocab={"a": 0, "b": 2})
         with pytest.raises(ValueError, match="missing"):
-            BpeModel(merges=(("a", "b"),), vocab={"a": 0, "b": 1}, specials=())
+            BpeModel(merges=(("a", "b"),), vocab={"a": 0, "b": 1})

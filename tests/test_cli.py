@@ -30,6 +30,7 @@ from signsynth.pose import (
 from signsynth.templates import PHENOMENA
 
 from .conftest import random_raw_frame
+from .test_bpe import OTHER_SPECIALS, model_with_specials
 
 TOY_WORDS = [
     "this", "that", "these", "those", "boy", "girl", "coat", "children", "people",
@@ -480,6 +481,27 @@ class TestStatsAndErrors:
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"id": "0", "candidate": "only one side"}) + "\n")
         assert cli(["eval", "--in", str(pairs)]) == 2
+
+    def test_eval_without_pairs_names_file(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n \n")
+        assert cli(["eval", "--in", str(pairs)]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {pairs}: no candidate-reference pairs\n"
+        )
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_tokenize_train_without_records_names_inputs(self, tmp_path, capsys, extra):
+        paths = [tmp_path / f"m{i}.jsonl" for i in range(1 + extra)]
+        for path in paths:
+            write_manifest(path, [])
+        model = tmp_path / "model.json"
+        argv = ["tokenize", "train", "--in", str(paths[0]), "--model", str(model),
+                "--vocab-size", "60"]
+        assert cli(argv + (["--extra", *map(str, paths[1:])] if extra else [])) == 2
+        named = ", ".join(map(str, paths))
+        assert capsys.readouterr().err == f"signsynth: data error: {named}: no records to train on\n"
+        assert not model.exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1025,10 +1047,11 @@ class TestSmallerFixes:
         b'{"version": "bpe-v1", "merges": [], "vocab": {"a": 0}, "specials": "a"}',
         b'{"version": "bpe-v1", "merges": [], "vocab": {"<pad>": 0, "h": 1},'
         b' "specials": ["<pad>"]}',
+        *map(model_with_specials, OTHER_SPECIALS.values()),
     ], ids=[
         "list", "empty", "not-json", "bad-utf8", "no-merges", "int-merge", "short-merge",
         "merges-object", "vocab-list", "vocab-str-id", "vocab-bool-id", "int-special",
-        "specials-string", "no-unk",
+        "specials-string", "no-unk", *(f"specials-{name}" for name in OTHER_SPECIALS),
     ])
     def test_bad_bpe_model_names_file(self, tmp_path, capsys, model):
         model_path = tmp_path / "model.json"

@@ -627,7 +627,7 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [out]
 
     def test_streams_text_and_binary(self, tmp_path):
-        with atomic_open(tmp_path / "t.csv", newline="") as fh:
+        with atomic_open(tmp_path / "t.csv") as fh:
             fh.write("a,b\r\n")
         with atomic_open(tmp_path / "b.bin", "wb") as fh:
             fh.write(b"\x00\xff")

@@ -9,6 +9,8 @@ from signsynth.pose import (
     BODY_LANDMARKS,
     EXCLUDED_BODY,
     FRAME_DIM,
+    GROUP_OFFSETS,
+    HAND_LANDMARKS,
     KeypointSelection,
     PoseFrame,
     PoseSequence,
@@ -159,20 +161,39 @@ class TestSentenceRecord:
 
 
 class TestKeypointSelection:
-    def test_rejects_unsorted(self):
-        body = list(default_selection().body_indices)
-        body[0], body[1] = body[1], body[0]
-        with pytest.raises(ValueError, match="sorted"):
-            KeypointSelection(body_indices=tuple(body), face_indices=SELECTED_FACE_INDICES)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="11"):
-            KeypointSelection(body_indices=(0, 1, 2), face_indices=SELECTED_FACE_INDICES)
+    @pytest.mark.parametrize("kwargs", [
+        {"body_indices": tuple(range(11))},
+        {"face_indices": SELECTED_FACE_INDICES},
+    ], ids=["body", "face"])
+    def test_takes_no_arguments(self, kwargs):
+        # A pose file does not record its selection, so none can be chosen.
+        with pytest.raises(TypeError):
+            KeypointSelection(**kwargs)
+        with pytest.raises(TypeError):
+            KeypointSelection(*kwargs.values())
 
     def test_global_indices_cover_76(self):
         gi = default_selection().global_indices()
         assert len(gi) == 76
         assert len(set(gi.tolist())) == 76
+
+    def test_global_indices_one_read_only_array(self):
+        sel = KeypointSelection()
+        gi = sel.global_indices()
+        assert gi is sel.global_indices() is default_selection().global_indices()
+        assert not gi.flags.writeable
+        with pytest.raises(ValueError):
+            gi[0] = 1
+        # Body, face, left hand, right hand, each shifted to its group's
+        # offset in the stacked 543-landmark array.
+        expected = np.concatenate([
+            np.asarray(sel.body_indices) + GROUP_OFFSETS["body"],
+            np.asarray(sel.face_indices) + GROUP_OFFSETS["face"],
+            np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["left_hand"],
+            np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["right_hand"],
+        ])
+        assert gi.dtype == expected.dtype
+        assert np.array_equal(gi, expected)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
