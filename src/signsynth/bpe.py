@@ -32,6 +32,10 @@ _SPECIAL_SET = frozenset(DEFAULT_SPECIALS)
 MODEL_VERSION = "bpe-v1"
 
 
+class EmptyCorpus(ValueError):
+    """``bpe_train`` found no word to train on: every token is empty or a special."""
+
+
 @dataclass(frozen=True)
 class BpeModel:
     merges: tuple[tuple[str, str], ...]
@@ -82,7 +86,7 @@ def bpe_train(corpus: Iterable[Sequence[str]], vocab_size: int) -> BpeModel:
             word_counts[token] += 1
             charset.update(token)
     if not word_counts:
-        raise ValueError("empty corpus")
+        raise EmptyCorpus("empty corpus")
 
     alphabet = sorted(c for ch in charset for c in (ch, ch + END_OF_WORD))
     n_reserved = len(DEFAULT_SPECIALS) + len(alphabet)

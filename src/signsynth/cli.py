@@ -193,8 +193,13 @@ def _cmd_stitch(args) -> int:
                               crossfade_frames=args.crossfade_frames, seed=args.seed)
 
     with io.pose_set(args.out_dir) as write_pose:
-        result = stitch.stitch_dataset(records, lex, cfg, args.target_mean_frames, write_pose,
-                                       skip_oov=args.skip_oov, jobs=args.jobs)
+        try:
+            result = stitch.stitch_dataset(records, lex, cfg, args.target_mean_frames, write_pose,
+                                           skip_oov=args.skip_oov, jobs=args.jobs)
+        except stitch.NothingToStitch:
+            raise io.DataError(
+                f"{args.manifest}, {args.lexicon_dir}: no stitchable records"
+            ) from None
     io.write_manifest(args.out_manifest, result.records)
     mean_frames = sum(r.n_frames for r in result.records) / len(result.records)
     print(
@@ -217,9 +222,10 @@ def _cmd_tokenize(args) -> int:
     if args.action == "train":
         paths = [args.input, *(args.extra or [])]
         sentences = [r.text for path in paths for r in io.read_manifest(path)]
-        if not sentences:
-            raise io.DataError(f"{', '.join(paths)}: no records to train on")
-        model = bpe.bpe_train(sentences, args.vocab_size)
+        try:
+            model = bpe.bpe_train(sentences, args.vocab_size)
+        except bpe.EmptyCorpus:
+            raise io.DataError(f"{', '.join(paths)}: no words to train on") from None
         bpe.save_model(args.model, model)
         print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
         return 0

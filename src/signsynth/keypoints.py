@@ -2,10 +2,11 @@
 
 Three stages: fill low-confidence landmarks from the nearest confident frame,
 select the 76 retained keypoints, and flatten to the canonical 152-vector.
-The core takes one (T, 543, 3) array per clip: ``fill_low_confidence``, then
-``flatten_video`` (one gather); ``process_word_video`` chains the two.  The
-frame-list form (``interpolate_low_confidence``, ``select_and_flatten``)
-calls those same two functions on stacked frames.  All functions are pure.
+The core takes one (T, 543, 3) array per clip: ``fill_low_confidence`` fills
+all 543 landmarks, ``flatten_video`` selects in one gather, and
+``process_word_video`` (ingest) selects the 76 kept keypoints and fills only
+those.  The frame-list form (``interpolate_low_confidence``,
+``select_and_flatten``) stacks its frames.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -15,16 +16,49 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import FRAME_DIM, KeypointSelection, PoseFrame, PoseSequence, RawLandmarkFrame
+from .pose import (FRAME_DIM, TOTAL_LANDMARKS, KeypointSelection, PoseFrame, PoseSequence,
+                   RawLandmarkFrame)
+
+_ALL_LANDMARKS = np.arange(TOTAL_LANDMARKS)
 
 
 @dataclass(frozen=True)
 class InterpolationReport:
-    """Counts of what the confidence fill touched."""
+    """What the confidence fill touched, counted over the input's 543 landmarks
+    (not only the kept ones): a low-confidence landmark is filled when its
+    column has a confident frame and unresolved when it has none."""
 
     frames_touched: int = 0
     keypoints_filled: int = 0
     unresolved: int = 0
+
+
+def _fill(stacked, threshold: float, columns) -> tuple[np.ndarray, InterpolationReport]:
+    """The filled landmark ``columns`` of a (T, 543, 3) clip, as a new (T, K, 3) array."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if len(stacked) == 0:
+        raise ValueError("empty input")
+
+    n_frames = len(stacked)
+    conf_ok = stacked[:, :, 2] >= threshold  # (T, 543)
+    fill_at = ~conf_ok & conf_ok.any(axis=0)  # low confidence, with a donor in its column
+    report = InterpolationReport(int(fill_at.any(axis=1).sum()), int(fill_at.sum()),
+                                 int((~conf_ok).sum() - fill_at.sum()))
+
+    ok = conf_ok[:, columns]
+    t_index = np.arange(n_frames)[:, None]
+    # Nearest confident frame at or before and at or after t, per column.  A
+    # missing one sits n_frames off the clip, so any real donor is nearer.
+    prev_ok = np.maximum.accumulate(np.where(ok, t_index, -n_frames), axis=0)
+    next_ok = np.minimum.accumulate(np.where(ok, t_index, 2 * n_frames - 1)[::-1], axis=0)[::-1]
+    # Tie -> earlier frame, i.e. the previous donor.
+    donor = np.where(t_index - prev_ok <= next_ok - t_index, prev_ok, next_ok)
+
+    filled = stacked[:, columns]
+    t_fill, k_fill = np.nonzero(fill_at[:, columns])
+    filled[t_fill, k_fill, 0:2] = filled[donor[t_fill, k_fill], k_fill, 0:2]
+    return filled, report
 
 
 def fill_low_confidence(
@@ -40,45 +74,7 @@ def fill_low_confidence(
     values and are counted as unresolved.  Confidences are never rewritten,
     so the operation is idempotent.  The input is not modified.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    if len(stacked) == 0:
-        raise ValueError("empty input")
-
-    n_frames = stacked.shape[0]
-    conf_ok = stacked[:, :, 2] >= threshold  # (T, 543)
-    needs_fill = ~conf_ok
-
-    if not needs_fill.any():
-        return stacked, InterpolationReport()
-
-    t_index = np.arange(n_frames)[:, None]
-    # Most recent confident frame at or before t (-1 when none) and the next
-    # confident frame at or after t (n_frames when none), per landmark column.
-    prev_ok = np.maximum.accumulate(np.where(conf_ok, t_index, -1), axis=0)
-    next_ok = np.flip(
-        np.minimum.accumulate(np.flip(np.where(conf_ok, t_index, n_frames), axis=0), axis=0),
-        axis=0,
-    )
-
-    dist_prev = np.where(prev_ok >= 0, t_index - prev_ok, np.iinfo(np.int64).max)
-    dist_next = np.where(next_ok < n_frames, next_ok - t_index, np.iinfo(np.int64).max)
-    # Tie -> earlier frame, i.e. the previous donor.
-    use_prev = dist_prev <= dist_next
-    donor = np.where(use_prev, prev_ok, next_ok)
-    has_donor = (dist_prev != np.iinfo(np.int64).max) | (dist_next != np.iinfo(np.int64).max)
-
-    fill_at = needs_fill & has_donor
-    filled = stacked.copy()
-    t_fill, k_fill = np.nonzero(fill_at)
-    filled[t_fill, k_fill, 0:2] = stacked[donor[t_fill, k_fill], k_fill, 0:2]
-
-    report = InterpolationReport(
-        frames_touched=int(fill_at.any(axis=1).sum()),
-        keypoints_filled=int(fill_at.sum()),
-        unresolved=int((needs_fill & ~has_donor).sum()),
-    )
-    return filled, report
+    return _fill(stacked, threshold, _ALL_LANDMARKS)
 
 
 def interpolate_low_confidence(
@@ -106,6 +102,10 @@ def process_word_video(
     threshold: float,
     source_id: str = "",
 ) -> tuple[PoseSequence, InterpolationReport]:
-    """Fill then select+flatten a (T, 543, 3) clip; frame count is preserved."""
-    filled, report = fill_low_confidence(stacked, threshold)
-    return flatten_video(filled, sel, source_id=source_id), report
+    """Select the kept keypoints of a (T, 543, 3) clip, fill only those, flatten.
+
+    Equals ``flatten_video(fill_low_confidence(...)[0], sel)``, with that
+    fill's report over all 543 landmarks; frame count is preserved."""
+    filled, report = _fill(stacked, threshold, sel.global_indices())
+    return PoseSequence(frames=filled[:, :, 0:2].reshape(len(filled), FRAME_DIM),
+                        source_id=source_id), report

@@ -158,6 +158,10 @@ def stitch_sentence(
     )
 
 
+class NothingToStitch(ValueError):
+    """``stitch_dataset`` found no record it could stitch."""
+
+
 @dataclass(frozen=True)
 class StitchDatasetResult:
     records: tuple[SentenceRecord, ...]
@@ -201,7 +205,7 @@ def stitch_dataset(
         pre_lengths.append(sum(len(lex.clip(w)) for w in words))
         stitchable.append((record, words))
     if not stitchable:
-        raise ValueError("no stitchable records")
+        raise NothingToStitch("no stitchable records")
 
     pre_mean = sum(pre_lengths) / len(pre_lengths)
     base_stride = compute_sampling_rate(pre_mean, target_mean_frames)

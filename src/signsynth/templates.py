@@ -92,10 +92,6 @@ class LexiconEntry:
     features: tuple[tuple[str, str], ...] = ()
     pose_source: str = ""
 
-    @property
-    def feature_map(self) -> dict[str, str]:
-        return dict(self.features)
-
 
 @dataclass(frozen=True)
 class SlotLexicon:
@@ -171,44 +167,42 @@ def _expansion_texts(t: Template, lex: SlotLexicon) -> Iterator[tuple[str, ...]]
     Agreement is pruned as early as possible: a partial assignment that
     contradicts an existing variable binding skips the whole subtree.
     """
-    slots = t.slots
-    candidates = [lex.candidates(slot.category) for slot in slots]
+    # Per slot: the literals before it, its constraints, its (word, features) candidates.
+    steps: list[tuple] = []
+    literals: list[str] = []
+    for e in t.elements:
+        if isinstance(e, str):
+            literals.append(e)
+            continue
+        candidates = [(c.word, dict(c.features)) for c in lex.candidates(e.category)]
+        steps.append((tuple(literals), e.constraints, candidates))
+        literals = []
+    tail = tuple(literals)
     seen: set[tuple[str, ...]] = set()
-    chosen: list[LexiconEntry] = []
 
-    def emit() -> tuple[str, ...]:
-        it = iter(chosen)
-        return tuple(e if isinstance(e, str) else next(it).word for e in t.elements)
-
-    def walk(depth: int, bindings: dict[str, Optional[str]]) -> Iterator[tuple[str, ...]]:
-        if depth == len(slots):
-            tokens = emit()
+    def walk(depth: int, prefix: tuple[str, ...],
+             bindings: dict[str, Optional[str]]) -> Iterator[tuple[str, ...]]:
+        if depth == len(steps):
+            tokens = prefix + tail
             if tokens not in seen:
                 seen.add(tokens)
                 yield tokens
             return
-        slot = slots[depth]
-        for entry in candidates[depth]:
-            features = entry.feature_map
+        before, constraints, candidates = steps[depth]
+        for word, features in candidates:
             new_bindings = bindings
-            ok = True
-            for feature, var in slot.constraints:
+            for feature, var in constraints:
                 value = features.get(feature)
-                if var in new_bindings:
-                    if new_bindings[var] != value:
-                        ok = False
-                        break
-                else:
+                if var not in new_bindings:
                     if new_bindings is bindings:
                         new_bindings = dict(bindings)
                     new_bindings[var] = value
-            if not ok:
-                continue
-            chosen.append(entry)
-            yield from walk(depth + 1, new_bindings)
-            chosen.pop()
+                elif new_bindings[var] != value:
+                    break
+            else:
+                yield from walk(depth + 1, prefix + before + (word,), new_bindings)
 
-    return walk(0, {})
+    return walk(0, (), {})
 
 
 def count_expansions(t: Template, lex: SlotLexicon) -> int:

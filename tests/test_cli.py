@@ -256,6 +256,19 @@ class TestStitchOutputDir:
             "stitch: 3 sentences (skipped 1), base stride 2, mean frames 47.3\n"
         )
 
+    @pytest.mark.parametrize("flags, records", [
+        ((), []),
+        ((), [SentenceRecord(id="s0", text=("boy", "zebra"))]),
+        (("--skip-oov",), [SentenceRecord(id="s0", text=("zebra", "okapi"))]),
+    ], ids=["empty", "oov", "skip-oov-all-missing"])
+    def test_no_stitchable_records_names_inputs(self, tmp_path, capsys, flags, records):
+        assert self.stitch(tmp_path, records, *flags) == 2
+        manifest, lex_dir = tmp_path / "sentences.jsonl", tmp_path / "lexicon"
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {manifest}, {lex_dir}: no stitchable records\n"
+        )
+        self.assert_nothing_written(tmp_path)
+
     def test_overlong_id_writes_nothing(self, tmp_path):
         records = [
             SentenceRecord(id="ok1", text=("boy", "can", "see")),
@@ -500,7 +513,22 @@ class TestStatsAndErrors:
                 "--vocab-size", "60"]
         assert cli(argv + (["--extra", *map(str, paths[1:])] if extra else [])) == 2
         named = ", ".join(map(str, paths))
-        assert capsys.readouterr().err == f"signsynth: data error: {named}: no records to train on\n"
+        assert capsys.readouterr().err == f"signsynth: data error: {named}: no words to train on\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("text", [("<PERSON>", "<UNKNOWN>"), ("",)])
+    def test_tokenize_train_without_words_names_inputs(self, tmp_path, capsys, text):
+        # bpe_train skips the specials and empty tokens, so these records
+        # leave it no word; the error names the manifests, like no records.
+        paths = [tmp_path / "m.jsonl", tmp_path / "extra.jsonl"]
+        write_manifest(paths[0], [SentenceRecord(id="s0", text=text)])
+        write_manifest(paths[1], [SentenceRecord(id="s1", text=("<pad>",))])
+        model = tmp_path / "model.json"
+        assert cli(["tokenize", "train", "--in", str(paths[0]), "--extra", str(paths[1]),
+                    "--model", str(model), "--vocab-size", "60"]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {paths[0]}, {paths[1]}: no words to train on\n"
+        )
         assert not model.exists()
 
     def test_config_file(self, tmp_path):

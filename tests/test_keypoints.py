@@ -187,14 +187,23 @@ class TestProcessWordVideo:
         assert len(seq) == 10
         assert seq.source_id == "w1"
 
-    def test_equals_composition(self, rng):
-        frames = [random_raw_frame(rng) for _ in range(7)]
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_composition(self, seed, n, threshold):
+        # Filling only the kept keypoints gives the frames and the report of
+        # filling all 543 landmarks and then selecting.
+        rng = np.random.default_rng(seed)
         sel = default_selection()
-        seq, report = process_word_video(stack(frames), sel, 0.8)
-        patched, want_report = interpolate_low_confidence(frames, 0.8)
-        composed = flatten_video(stack(patched), sel)
-        assert np.array_equal(seq.frames, composed.frames)
+        stacked = rng.random((n, 543, 3)).astype(np.float32)
+        # Donorless columns, some of them among the kept keypoints.
+        donorless = np.concatenate([rng.integers(0, 543, 4), rng.choice(sel.global_indices(), 4)])
+        stacked[:, donorless, 2] = 0.0
+        before = stacked.copy()
+        seq, report = process_word_video(stacked, sel, threshold)
+        filled, want_report = fill_low_confidence(stacked, threshold)
+        assert np.array_equal(seq.frames, flatten_video(filled, sel).frames)
         assert report == want_report
+        assert np.array_equal(stacked, before)  # the input is not modified
 
     def test_all_confident_equals_flatten(self, rng):
         stacked = stack([random_raw_frame(rng, confidence=1.0) for _ in range(4)])

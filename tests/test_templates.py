@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from signsynth.templates import (
     LexiconEntry,
     PHENOMENA,
+    Slot,
     SlotLexicon,
+    Template,
     TemplateParseError,
     count_expansions,
     expand_all,
@@ -59,8 +61,33 @@ def to_oracle_form(template):
 
 def oracle_lexicon(lex: SlotLexicon):
     return {
-        cat: [(e.word, e.feature_map) for e in items] for cat, items in lex.entries.items()
+        cat: [(e.word, dict(e.features)) for e in items] for cat, items in lex.entries.items()
     }
+
+
+# Small random lexicons and templates over them: repeated words, entries
+# missing a feature, empty categories, and slots whose 0-2 constraints share
+# agreement variables, with literals between the slots.
+CATEGORIES = ("A", "B", "C")
+
+entries = st.builds(
+    lambda word, features: LexiconEntry(word=word, features=tuple(sorted(features.items()))),
+    st.sampled_from(["x", "y", "z", "can"]),
+    st.dictionaries(st.sampled_from(["num", "case"]), st.sampled_from(["sg", "pl"]), max_size=2),
+)
+lexicons = st.fixed_dictionaries(
+    {cat: st.lists(entries, max_size=4).map(tuple) for cat in CATEGORIES}
+).map(lambda by_category: SlotLexicon(entries=by_category))
+slots = st.builds(
+    lambda category, constraints: Slot(category, tuple(sorted(constraints.items()))),
+    st.sampled_from(CATEGORIES),
+    st.dictionaries(st.sampled_from(["num", "case"]), st.sampled_from(["N", "M"]), max_size=2),
+)
+templates = (
+    st.lists(st.one_of(slots, st.sampled_from(["can", "the"])), min_size=1, max_size=5)
+    .filter(lambda elements: any(isinstance(e, Slot) for e in elements))
+    .map(lambda elements: Template(id="t", phenomenon="custom", elements=tuple(elements)))
+)
 
 
 class TestParse:
@@ -196,6 +223,13 @@ class TestCountAndExpand:
         assert got == want
         assert count_expansions(t, lex) == len(want)
 
+    @given(templates, lexicons)
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_enumeration_oracle(self, t, lex):
+        want = oracles.enumerate_sentences(to_oracle_form(t), oracle_lexicon(lex))
+        assert [r.text for r in expand_all(t, lex)] == want
+        assert count_expansions(t, lex) == len(want)
+
     def test_deduplicates_repeated_words(self):
         lex = SlotLexicon(entries={"A": (entry("x", num="sg"), entry("x", num="pl"))})
         t = parse_template("A[]")
@@ -203,7 +237,7 @@ class TestCountAndExpand:
 
     def test_all_outputs_satisfy_agreement(self):
         t = parse_template("Subj[num=N] V[num=N]")
-        features = {e.word: e.feature_map["num"] for cat in ("Subj", "V")
+        features = {e.word: dict(e.features)["num"] for cat in ("Subj", "V")
                     for e in AGREEMENT_LEX.entries[cat]}
         for record in expand_all(t, AGREEMENT_LEX):
             subj, verb = record.text
