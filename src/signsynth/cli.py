@@ -219,6 +219,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
+    if args.action == "train" and args.out is not None:
+        raise UsageError("tokenize train does not take --out")
+    if args.action == "encode" and args.extra is not None:
+        raise UsageError("tokenize encode does not take --extra")
+    if args.action == "encode" and args.out is None:
+        raise UsageError("tokenize encode requires --out")
     if args.action == "train":
         paths = [args.input, *(args.extra or [])]
         sentences = [r.text for path in paths for r in io.read_manifest(path)]
@@ -229,8 +235,6 @@ def _cmd_tokenize(args) -> int:
         bpe.save_model(args.model, model)
         print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
         return 0
-    if args.out is None:
-        raise UsageError("tokenize encode requires --out")
     model = bpe.load_model(args.model)
     records = io.read_manifest(args.input)
     with io.atomic_open(args.out) as fh:

@@ -10,15 +10,16 @@ surrogate pair, which every JSON reader reads back as one character.
 
 Every line-based input is read by ``read_lines``: one strict UTF-8 decode
 per line, ``\\n`` line ends, and errors that cite ``path:line``.  JSON lines
-are parsed with ``orjson``.  A line that orjson would read differently from
-the stdlib ``json`` module (an integer beyond 64 bits, deep nesting), that it
-rejects, or that is not an object is read by ``json`` instead, so the
-accepted inputs, the values and the error messages are those of ``json``.
-``read_raw_landmark_file`` decodes a canonical frame line in one pass
-(``_plain_frame``): its only strings are the four group keys, every value is
-written with a ``.``, and it holds the four groups at their sizes of
-3-number points, finite, with confidences in [0, 1].  Every other line
-takes the ``read_jsonl`` path, which alone gives its values and every error.
+are parsed by the stdlib ``json`` module alone (``_json_object``).
+``read_raw_landmark_file`` decodes a plain frame line in one pass with
+``orjson`` (``_plain_frame``): its only strings are the four group keys, it
+holds no ``true``, ``false`` or ``null``, and it holds the four groups at
+their sizes of 3-number points, every value below 2**63 in magnitude as
+float32, with confidences in [0, 1].  orjson reads every number token of
+such a line as ``json`` does, integers and exponent forms included; only an
+integer outside the 64-bit range, which it reads as a float, is that large.
+Every other line takes the ``read_jsonl`` path, which alone gives its
+values and every error.
 
 A manifest line is written by ``encode_record`` from fixed keys, in the
 order ``id, text, phenomenon, word_order[, pose_path][, n_frames]``, with
@@ -153,39 +154,6 @@ def atomic_open(path, mode: str = "w") -> Iterator[IO]:
             yield fh
 
 
-# Lines that orjson.loads reads differently from json.loads show up in one
-# bytes.translate of the line: digits become "0"; ",", ":", "-" and
-# whitespace, which with "[" are the bytes a number's digits can follow,
-# become ","; and "{" becomes "[", so that one count sees every opening
-# bracket.
-_ORJSON_GUARD = bytes.maketrans(b"0123456789{:-\t\n\v\f\r ", b"0000000000[,,,,,,,,")
-# orjson reads an integer beyond 64 bits as a float; json reads it exactly.
-# Every such integer is a token of 19 or more digits.
-_LONG_INT_ITEM, _LONG_INT_FIRST = b"," + b"0" * 19, b"[" + b"0" * 19
-# orjson has no nesting limit (at a million levels 3.8.3 overflows its stack
-# and kills the process); json raises RecursionError near the interpreter's
-# recursion limit (1000 by default).  Fewer opening brackets than this keep a
-# line well below that.
-_ORJSON_MAX_BRACKETS = 768
-
-
-def _orjson_object(line: str) -> dict | None:
-    """``orjson.loads(line)`` when that is an object that json would read the
-    same; otherwise None."""
-    guard = line.encode("utf-8").translate(_ORJSON_GUARD)
-    if (
-        guard.count(b"[") >= _ORJSON_MAX_BRACKETS
-        or _LONG_INT_ITEM in guard
-        or _LONG_INT_FIRST in guard
-    ):
-        return None
-    try:
-        obj = orjson.loads(line)
-    except orjson.JSONDecodeError:
-        return None
-    return obj if type(obj) is dict else None
-
-
 def _json_object(line: str) -> dict | None:
     """The stdlib reading of one line: its JSON object, or None if blank."""
     line = line.strip()
@@ -222,16 +190,14 @@ def read_lines(path, parse: Callable[[str], T | None]) -> Iterator[tuple[int, T]
 
 
 def _json_line(line: str, parse: Callable[[dict], T | None]) -> T | None:
-    obj = _orjson_object(line)
-    if obj is None:
-        obj = _json_object(line)
+    obj = _json_object(line)
     return None if obj is None else parse(obj)
 
 
 def read_jsonl(path, parse: Callable[[dict], T | None]) -> Iterator[tuple[int, T]]:
     """``read_lines`` over JSON lines: ``parse`` gets each non-blank line's
-    JSON object.  Invalid JSON or a non-object line is a DataError too.
-    Lines are parsed as ``json.loads`` parses them (see the module notes)."""
+    JSON object, as ``json.loads`` reads it.  Invalid JSON or a non-object
+    line is a DataError too."""
     return read_lines(path, lambda line: _json_line(line, parse))
 
 
@@ -376,26 +342,37 @@ def _raw_frame(obj: dict) -> np.ndarray:
 
 
 _FRAME_VALUES = 3 * TOTAL_LANDMARKS
-# The bytes '"', '.' and '[' that a canonical frame line holds.
-_FRAME_MARKS, _FRAME_MARK_COUNTS = b'".[', [8, _FRAME_VALUES, 4 + TOTAL_LANDMARKS]
+# A frame line holds 8 '"' and 4 + 543 '['; of its bytes, only the 'y' of
+# "body", the 't' of each hand key, '{' and '}' are at or above 's'.
+_FRAME_QUOTES, _FRAME_BRACKETS, _FRAME_HIGH_BYTES = 8, 4 + TOTAL_LANDMARKS, 5
+# Below this magnitude orjson reads every number token as json does.
+_FRAME_MAX_ABS = 2.0**63
 
 
 # Why a line that _plain_frame accepts reads exactly as json and
 # landmark_group read it:
 # - its 8 quotes are the four group keys, so no value is a string and no key
 #   is repeated or extra; so too a point of 3 items is a list;
-# - a JSON number holds at most one '.', so 1629 dots over the 1629 values
-#   make every value a number with a '.': no int, bool or null.  orjson reads
-#   such a token as the same float as json (tests/test_io.py checks this);
-# - a list or dict value makes np.fromiter raise, and the line falls back;
-# - its 547 '[' are the 4 groups and the 543 points, so orjson never meets
-#   deep nesting, which _orjson_object keeps from it on other lines.
+# - its 5 bytes at or above 's' are those of the keys and the outer braces,
+#   so no value is an object, true, false or null, which each hold such a
+#   byte; a list value makes np.fromiter raise, and the line falls back;
+# - so every value is a number.  orjson reads a token below 2**63 in
+#   magnitude as json does (tests/test_io.py checks this); any other token
+#   reads as at least 2**63 in float32 either way, as does a value beyond
+#   float32, which becomes inf, and the frame is refused.  orjson never
+#   returns NaN;
+# - its 547 '[' are the 4 groups and the 543 points, so orjson, which has no
+#   nesting limit, never meets the deep nesting at which json raises.
 def _plain_frame(line: str) -> np.ndarray | None:
-    """The (543, 3) float32 frame of a canonical frame line, decoded in one
-    pass; else None, and the line takes ``_json_line`` and ``_raw_frame``,
-    which alone give the values of other lines and every error."""
+    """The (543, 3) float32 frame of a plain frame line, decoded in one pass;
+    else None, and the line takes ``_json_line`` and ``_raw_frame``, which
+    alone give the values of other lines and every error."""
     codes = np.frombuffer(line.encode(), np.uint8)  # in UTF-8 an ASCII byte is a character
-    if [np.count_nonzero(codes == mark) for mark in _FRAME_MARKS] != _FRAME_MARK_COUNTS:
+    if (
+        np.count_nonzero(codes == ord('"')) != _FRAME_QUOTES
+        or np.count_nonzero(codes == ord("[")) != _FRAME_BRACKETS
+        or np.count_nonzero(codes >= ord("s")) != _FRAME_HIGH_BYTES
+    ):
         return None
     try:
         obj = orjson.loads(line)
@@ -417,7 +394,8 @@ def _plain_frame(line: str) -> np.ndarray | None:
         return None
     with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
         frame = values.astype(np.float32).reshape(TOTAL_LANDMARKS, 3)
-    if not np.isfinite(frame).all() or frame[:, 2].min() < 0.0 or frame[:, 2].max() > 1.0:
+    confidence = frame[:, 2]
+    if not np.abs(frame).max() < _FRAME_MAX_ABS or confidence.min() < 0.0 or confidence.max() > 1.0:
         return None
     return frame
 
@@ -430,7 +408,7 @@ def _raw_line(line: str) -> np.ndarray | None:
 def read_raw_landmark_file(path) -> np.ndarray:
     """JSON lines, one frame per line with body/face/left_hand/right_hand
     lists of [x, y, confidence] points.  Returns the clip as one (T, 543, 3)
-    float32 array in canonical group order.  A canonical line is decoded in
+    float32 array in canonical group order.  A plain frame line is decoded in
     one pass (``_plain_frame``); any other reads as ``read_jsonl`` reads it."""
     frames = [frame for _, frame in read_lines(path, _raw_line)]
     if not frames:

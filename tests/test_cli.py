@@ -531,6 +531,20 @@ class TestStatsAndErrors:
         )
         assert not model.exists()
 
+    @pytest.mark.parametrize("action, flag", [("train", "--out"), ("encode", "--extra")])
+    def test_tokenize_flag_of_the_other_action_is_usage_error(self, tmp_path, capsys, action, flag):
+        # The flag names a file that does not exist: the error comes before any read.
+        missing = str(tmp_path / "missing.jsonl")
+        model = tmp_path / "model.json"
+        argv = ["tokenize", action, "--in", missing, "--model", str(model), flag, missing]
+        if action == "encode":
+            argv += ["--out", str(tmp_path / "ids.jsonl")]
+        assert cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"signsynth: error: tokenize {action} does not take {flag}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("min_freq = 5  # like the hyperparameter table\n")
@@ -612,8 +626,8 @@ class TestMalformedJsonLines:
 
 
 class TestHostileJsonLines:
-    """Lines that the stdlib JSON parser reads in its own way keep the exit
-    code and message they had before JSON lines were parsed with orjson."""
+    """Lines that the stdlib JSON parser reads in its own way keep its exit
+    code and message, also where ingest tries its one-pass orjson decode."""
 
     def ingest_second_line(self, tmp_path, capsys, rng, line: str) -> tuple[int, str]:
         raw_dir = tmp_path / "raw"

@@ -901,7 +901,8 @@ def _nested(depth: int, bracket: str) -> bytes:
     return b'{"a": ' * depth + b"1" + b"}" * depth
 
 
-# Lines that orjson rejects, reads differently, or reads as a non-object.
+# Lines that are blank, invalid, not objects, or that orjson reads
+# differently from json.
 # Nesting depths stay clear of the interpreter's recursion limit, where the
 # stdlib's own result depends on the depth of the calling stack.
 _HOSTILE_LINES = st.sampled_from([
@@ -999,6 +1000,12 @@ _EXPONENT = st.builds(
 _INTEGER_PART = st.just("0") | st.builds(
     str.__add__, st.sampled_from("123456789"), st.text("0123456789", max_size=38)
 )
+_INTEGER_TOKENS = st.builds(str.__add__, _SIGN, _INTEGER_PART) | st.sampled_from(
+    ["-0"] + [str(sign * n) for n in [2**63 - 1, 2**63, 2**64 - 1, 2**64] for sign in (1, -1)]
+)
+_EXPONENT_TOKENS = st.builds(
+    lambda sign, integer, exponent: f"{sign}{integer}{exponent}", _SIGN, _INTEGER_PART, _EXPONENT
+)
 _DECIMAL_TOKENS = st.builds(
     lambda sign, integer, fraction, exponent: f"{sign}{integer}.{fraction[:40 - len(integer)]}{exponent}",
     _SIGN, _INTEGER_PART, st.text("0123456789", min_size=1, max_size=39), st.just("") | _EXPONENT,
@@ -1018,6 +1025,7 @@ _HALFWAY_TOKENS = st.builds(
 # Replacements for one value token of a canonical frame line.
 _VALUE_MUTATIONS = [
     "1", "0", "12345678901234567890", "true", "null", '"0.5"', "NaN", "1.0e400", "1.0e39", "1e-05",
+    "-0", "9223372036854775807", "9223372036854775808", "1E5", "false",
 ]
 _CONFIDENCE_MUTATIONS = ["-0.0", "1.0000001", "-0.5"]
 _OTHER_MUTATIONS = [
@@ -1028,19 +1036,25 @@ _MUTATIONS = _VALUE_MUTATIONS + _CONFIDENCE_MUTATIONS + _OTHER_MUTATIONS
 
 
 class TestRawFrameFastPath:
-    """``io._plain_frame`` decodes a canonical frame line in one pass; every
+    """``io._plain_frame`` decodes a plain frame line in one pass; every
     other line takes the ``read_jsonl`` path and ``io._raw_frame``."""
 
-    @given(_DECIMAL_TOKENS | _HALFWAY_TOKENS)
+    @given(_INTEGER_TOKENS | _EXPONENT_TOKENS | _DECIMAL_TOKENS | _HALFWAY_TOKENS)
     @settings(max_examples=500, deadline=None)
-    def test_orjson_reads_a_dotted_number_as_json_does(self, token):
-        # The premise that lets a canonical line skip the orjson guard.
-        assert "." in token
+    def test_orjson_reads_a_number_as_json_does(self, token):
+        # The premise of _plain_frame, which refuses a frame holding a value
+        # of 2**63 or more in magnitude: below that, orjson reads every
+        # number token as json does, bit for bit.
+        expected = float(json.loads(token))
         try:
-            got = orjson.loads(token)
+            got = float(orjson.loads(token))
         except orjson.JSONDecodeError:  # beyond DBL_MAX; the line falls back to json
+            assert not abs(expected) < 2.0**63
             return
-        assert type(got) is float and got.hex() == json.loads(token).hex()
+        if abs(expected) < 2.0**63:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+        else:  # orjson may read an integer as a float, but the frame is refused
+            assert not abs(got) < 2.0**63
 
     def test_halfway_tokens_are_exact_midpoints(self):
         # Written exactly, a midpoint rounds to the neighbour with an even mantissa.
@@ -1074,17 +1088,43 @@ class TestRawFrameFastPath:
         assert again.shape == (3, 543, 3)
         assert again.tobytes() == np.stack([f.stacked() for f in frames]).tobytes()
 
-    def test_a_number_without_a_dot_reads_through_the_fallback(self, rng, tmp_path, monkeypatch):
+    def test_js_style_numbers_take_the_one_pass_decode(self, rng, tmp_path, monkeypatch):
+        # JSON.stringify writes an integral value without ".0", and Python's
+        # repr writes 1e-05 without a ".".  Every edge frame holds integral values.
+        def js(value: float):
+            return int(value) if value.is_integer() else value
+
+        path = tmp_path / "w.jsonl"
+        objs = [
+            {name: [list(map(js, p)) for p in getattr(f, name).tolist()] for name in LANDMARK_GROUPS}
+            for f in self.edge_frames(rng)
+        ]
+        objs[1]["face"][7][1] = 1e-05
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        assert "1e-05" in path.read_text()
+        expected = np.array(
+            [[point for name in LANDMARK_GROUPS for point in o[name]] for o in objs], np.float64
+        ).astype(np.float32)
+
+        def refuse(*args):
+            raise AssertionError("a JS-style frame took the slow path")
+
+        monkeypatch.setattr(io, "_raw_frame", refuse)
+        monkeypatch.setattr(io, "landmark_group", refuse)
+        assert read_raw_landmark_file(path).tobytes() == expected.tobytes()
+
+    def test_a_20_digit_integer_reads_through_the_fallback(self, rng, tmp_path, monkeypatch):
         path = tmp_path / "w.jsonl"
         frames = self.edge_frames(rng)
         objs = [{name: getattr(f, name).tolist() for name in LANDMARK_GROUPS} for f in frames]
         objs[1]["face"][7][1] = "MARK"
-        path.write_text("".join(json.dumps(o).replace('"MARK"', "1e-05") + "\n" for o in objs))
+        token = "12345678901234567890"
+        path.write_text("".join(json.dumps(o).replace('"MARK"', token) + "\n" for o in objs))
         calls = []
         slow = io._raw_frame
         monkeypatch.setattr(io, "_raw_frame", lambda obj: calls.append(1) or slow(obj))
         expected = np.stack([f.stacked() for f in frames])
-        expected[1, 33 + 7, 1] = np.float32(1e-05)
+        expected[1, 33 + 7, 1] = np.float32(int(token))
         assert read_raw_landmark_file(path).tobytes() == expected.tobytes()
         assert len(calls) == 1
 
