@@ -218,18 +218,32 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_tokenize(args) -> int:
-    if args.action == "train" and args.out is not None:
-        raise UsageError("tokenize train does not take --out")
-    if args.action == "encode" and args.extra is not None:
-        raise UsageError("tokenize encode does not take --extra")
+def _check_flags(args) -> None:
+    """Reject a flag that the chosen command would ignore, and tokenize
+    encode without --out, before the config file or any input is read.  A
+    config file may still give vocab_size to encode: one file serves every
+    command."""
+    if args.skip_oov and args.command != "stitch":
+        raise UsageError(f"{args.command} does not take --skip-oov")
+    if args.command != "tokenize":
+        return
+    ignored = {"train": {"--out": args.out},
+               "encode": {"--extra": args.extra, "--vocab-size": args.vocab_size}}
+    for flag, value in ignored[args.action].items():
+        if value is not None:
+            raise UsageError(f"tokenize {args.action} does not take {flag}")
     if args.action == "encode" and args.out is None:
         raise UsageError("tokenize encode requires --out")
+
+
+def _cmd_tokenize(args) -> int:
     if args.action == "train":
         paths = [args.input, *(args.extra or [])]
-        sentences = [r.text for path in paths for r in io.read_manifest(path)]
+        texts = [r.text for path in paths for r in io.read_manifest(path)]
+        # encode splits a sentence's text on whitespace, so train on those words
+        words = ([word for token in text for word in token.split()] for text in texts)
         try:
-            model = bpe.bpe_train(sentences, args.vocab_size)
+            model = bpe.bpe_train(words, args.vocab_size)
         except bpe.EmptyCorpus:
             raise io.DataError(f"{', '.join(paths)}: no words to train on") from None
         bpe.save_model(args.model, model)
@@ -384,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         config = load_config(args.config) if args.config else {}
         for name, s in SETTINGS.items():  # flag > config > default
             if s.command == args.command and getattr(args, name) is None:

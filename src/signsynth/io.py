@@ -37,7 +37,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import secrets
 import shutil
 from collections import namedtuple
 from contextlib import contextmanager
@@ -134,10 +133,12 @@ def _publish(stages: list[_Stage]) -> None:
 def _stage(target: Path, pose_set: bool = False) -> Path:
     """A fresh temp name beside ``target``, registered with the active commit.
     The copy of the target's name it holds is cut, on a character boundary,
-    so the stage name stays within NAME_MAX; the random hex keeps it unique."""
+    so the stage name stays within NAME_MAX; the random hex keeps it unique.
+    It comes from os.urandom: ``secrets`` imports ``hmac``, and with it
+    OpenSSL's libcrypto."""
     made = [p for p in target.parents if not p.exists()] if pose_set else []
     name = os.fsencode(target.name)[:_STAGE_NAME_BYTES].decode("utf-8", "ignore")
-    tmp = target.parent / f".{name}.{secrets.token_hex(8)}.tmp"
+    tmp = target.parent / f".{name}.{os.urandom(8).hex()}.tmp"
     _COMMIT.get().append(_Stage(tmp, target, pose_set, made))
     return tmp
 

@@ -8,11 +8,21 @@ replayed in isolation.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable
 
 import numpy as np
+
+# hashlib maps OpenSSL's libcrypto into the process, about 3.5 MB resident;
+# the interpreter's own SHA-256 gives the same digests for a few KB, and
+# random.py takes its sha512 the same way.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -22,7 +32,7 @@ def derive_seed(*parts: int | str) -> int:
     process and would break cross-run determinism.
     """
     key = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(key).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -31,7 +41,7 @@ def derive_seeds(prefix: int | str, ids: Iterable[int | str]) -> np.ndarray:
 
     The shared ``prefix`` is hashed once and each id continues a copy of it.
     """
-    head = hashlib.sha256(f"{prefix}\x1f".encode("utf-8"))
+    head = sha256(f"{prefix}\x1f".encode("utf-8"))
     out = bytearray()
     for i in ids:
         h = head.copy()

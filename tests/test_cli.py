@@ -444,6 +444,18 @@ class TestSampleTokenizeEval:
         assert [r["id"] for r in rows] == ["a", "b"]
         assert all(isinstance(i, int) for r in rows for i in r["ids"])
 
+    def test_tokenize_train_splits_tokens_as_encode_does(self, tmp_path):
+        # encode splits on whitespace, so a token "new york" is two words to it.
+        manifest = tmp_path / "in.jsonl"
+        write_manifest(manifest, [SentenceRecord(id=f"r{i}", text=("new york", "is", "big"))
+                                  for i in range(5)])
+        model_path = tmp_path / "model.json"
+        assert cli(["tokenize", "train", "--in", str(manifest), "--model", str(model_path),
+                    "--vocab-size", "60"]) == 0
+        model = bpe.load_model(model_path)
+        assert model.merges
+        assert [symbol for symbol in model.vocab if any(c.isspace() for c in symbol)] == []
+
     def test_eval_identical_is_100(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         with open(pairs, "w") as fh:
@@ -531,17 +543,41 @@ class TestStatsAndErrors:
         )
         assert not model.exists()
 
-    @pytest.mark.parametrize("action, flag", [("train", "--out"), ("encode", "--extra")])
+    @pytest.mark.parametrize("action, flag", [
+        ("train", "--out"), ("encode", "--extra"), ("encode", "--vocab-size"),
+    ])
     def test_tokenize_flag_of_the_other_action_is_usage_error(self, tmp_path, capsys, action, flag):
-        # The flag names a file that does not exist: the error comes before any read.
+        # The inputs do not exist: the error comes before any read.
         missing = str(tmp_path / "missing.jsonl")
         model = tmp_path / "model.json"
-        argv = ["tokenize", action, "--in", missing, "--model", str(model), flag, missing]
+        value = "5" if flag == "--vocab-size" else missing
+        argv = ["tokenize", action, "--in", missing, "--model", str(model), flag, value]
         if action == "encode":
             argv += ["--out", str(tmp_path / "ids.jsonl")]
         assert cli(argv) == 1
         assert capsys.readouterr().err == (
             f"signsynth: error: tokenize {action} does not take {flag}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_config_may_give_vocab_size_to_encode(self, tmp_path):
+        # One config file serves every command, so encode takes it and
+        # goes on to read its inputs.
+        cfg, missing = tmp_path / "run.cfg", str(tmp_path / "missing.jsonl")
+        cfg.write_text("vocab_size = 5\n")
+        assert cli(["--config", str(cfg), "tokenize", "encode", "--in", missing,
+                    "--model", missing, "--out", str(tmp_path / "ids.jsonl")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--manifest", "{missing}", "--out", "{out}"],
+        ["tokenize", "train", "--in", "{missing}", "--model", "{out}"],
+        ["sample", "--total-steps", "1", "--real-size", "1", "--synth-size", "1", "--out", "{out}"],
+    ])
+    def test_skip_oov_outside_stitch_is_usage_error(self, tmp_path, capsys, argv):
+        paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
+        assert cli(["--skip-oov", *(arg.format(**paths) for arg in argv)]) == 1
+        assert capsys.readouterr().err == (
+            f"signsynth: error: {argv[0]} does not take --skip-oov\n"
         )
         assert sorted(tmp_path.iterdir()) == []
 
