@@ -18,8 +18,10 @@ machine speed falls on both sides alike.  Each checkout runs its own
 ``perfbench`` copy.  The script prints each pair's ``wall_s`` and whether
 the two artifact digests agree, then, for every end-to-end metric that
 ``BENCHMARK.json`` lists, each side's median and quartiles and the number of
-pairs the change wins.  The last line is the summary as one JSON object,
-with the number of pairs whose digests agree as ``digests_equal``.
+pairs the change wins, whether it is a clear gain, and whether it regressed
+beyond the metric's ``bound`` (``regression``).  The last line is the
+summary as one JSON object, with the number of pairs whose digests agree as
+``digests_equal``.
 Only the standard library is used.
 """
 
@@ -41,12 +43,17 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
     """Compare one metric over ``(parent, change)`` pairs, where ``better``
     is ``"lower"`` or ``"higher"``.  A pair the change wins reads strictly
     better; a tie counts for neither side.  ``clear_gain`` holds when the
     change wins at least nine pairs in ten and its median is better than the
-    parent's by more than the distance between the parent's quartiles."""
+    parent's by more than the distance between the parent's quartiles.
+    ``regression`` takes ``bound`` as a fraction of the parent's median: it is
+    ``"worse"`` when the change's median is worse than the parent's by more
+    than the bound; ``"unresolved"`` when the parent's quartile spread exceeds
+    the bound, unless every change run is better than every parent run; else
+    ``"within bound"``."""
     if not pairs:
         raise ValueError("no pairs to summarize")
     if better not in ("lower", "higher"):
@@ -57,6 +64,14 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     parent = _spread([p for p, _ in pairs])
     change = _spread([c for _, c in pairs])
     gain = sign * (parent["median"] - change["median"])
+    allowed = bound * parent["median"]
+    if -gain > allowed:
+        regression = "worse"
+    elif (parent["q3"] - parent["q1"] > allowed
+          and max(sign * c for _, c in pairs) >= min(sign * p for p, _ in pairs)):
+        regression = "unresolved"
+    else:
+        regression = "within bound"
     return {
         "pairs": len(pairs),
         "wins": wins,
@@ -65,6 +80,7 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
         "change": change,
         "relative_change": (change["median"] - parent["median"]) / parent["median"],
         "clear_gain": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+        "regression": regression,
     }
 
 
@@ -113,8 +129,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    directions = {m["name"]: m["better"]
-                  for m in json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     for tree in (args.parent, args.change):
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
         build_inputs(tree, args.workload, args.seed)
@@ -133,13 +148,16 @@ def main(argv=None) -> int:
               f"change {change['wall_s']:.4f}; digests {same}", flush=True)
 
     summary = {}
-    for name, better in directions.items():
-        s = summary[name] = summarize([(p[name], c[name]) for p, c in runs], better)
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        s = summary[name] = summarize([(p[name], c[name]) for p, c in runs], better,
+                                      metric["bound"])
         print(f"{name} ({better} is better): parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}] -> change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}] "
               f"({s['relative_change']:+.1%}); change better in {s['wins']}/{s['pairs']} "
-              f"pairs, {s['ties']} ties; clear gain: {'yes' if s['clear_gain'] else 'no'}")
+              f"pairs, {s['ties']} ties; clear gain: {'yes' if s['clear_gain'] else 'no'}; "
+              f"regression: {s['regression']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                       "digests_equal": digests_equal, "summary": summary}))
     return 0

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bpe, corpus, curriculum, io, keypoints, metrics, parallel, stitch, templates
-from .pose import WORD_ORDERS, default_selection
+from .pose import WORD_ORDERS
 
 
 class UsageError(Exception):
@@ -164,14 +164,13 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_ingest(args) -> int:
     raw_dir = Path(args.raw_dir)
-    selection = default_selection()
     paths = io.files_by_word(raw_dir, ".jsonl")
     if not paths:
         raise io.DataError(f"{raw_dir}: no .jsonl raw landmark files")
 
     def ingest_one(path: Path) -> tuple[int, int]:
         seq, report = keypoints.process_word_video(
-            io.read_raw_landmark_file(path), selection, args.threshold, source_id=path.stem
+            io.read_raw_landmark_file(path), args.threshold, source_id=path.stem
         )
         write_pose(path.stem, seq)
         return report.keypoints_filled, report.unresolved

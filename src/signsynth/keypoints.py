@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import (FRAME_DIM, TOTAL_LANDMARKS, KeypointSelection, PoseFrame, PoseSequence,
-                   RawLandmarkFrame)
+from .pose import FRAME_DIM, SELECTED_LANDMARKS, TOTAL_LANDMARKS, PoseSequence, RawLandmarkFrame
 
 _ALL_LANDMARKS = np.arange(TOTAL_LANDMARKS)
 
@@ -85,27 +84,24 @@ def interpolate_low_confidence(
     return [RawLandmarkFrame.from_stacked(frame) for frame in filled], report
 
 
-def select_and_flatten(frame: RawLandmarkFrame, sel: KeypointSelection) -> PoseFrame:
-    """``flatten_video`` of a one-frame clip: the canonical 152-vector."""
-    return PoseFrame(flatten_video(frame.stacked()[None], sel).frames[0])
+def select_and_flatten(frame: RawLandmarkFrame) -> np.ndarray:
+    """``flatten_video`` of a one-frame clip: its read-only 152-value row."""
+    return flatten_video(frame.stacked()[None]).frames[0]
 
 
-def flatten_video(stacked: np.ndarray, sel: KeypointSelection, source_id: str = "") -> PoseSequence:
+def flatten_video(stacked: np.ndarray, source_id: str = "") -> PoseSequence:
     """Select and flatten every frame of a (T, 543, 3) clip in one gather."""
-    rows = stacked[:, sel.global_indices(), 0:2].reshape(len(stacked), FRAME_DIM)
+    rows = stacked[:, SELECTED_LANDMARKS, 0:2].reshape(len(stacked), FRAME_DIM)
     return PoseSequence(frames=rows, source_id=source_id)
 
 
 def process_word_video(
-    stacked: np.ndarray,
-    sel: KeypointSelection,
-    threshold: float,
-    source_id: str = "",
+    stacked: np.ndarray, threshold: float, source_id: str = ""
 ) -> tuple[PoseSequence, InterpolationReport]:
     """Select the kept keypoints of a (T, 543, 3) clip, fill only those, flatten.
 
-    Equals ``flatten_video(fill_low_confidence(...)[0], sel)``, with that
-    fill's report over all 543 landmarks; frame count is preserved."""
-    filled, report = _fill(stacked, threshold, sel.global_indices())
+    Equals ``flatten_video(fill_low_confidence(...)[0])``, with that fill's
+    report over all 543 landmarks; frame count is preserved."""
+    filled, report = _fill(stacked, threshold, SELECTED_LANDMARKS)
     return PoseSequence(frames=filled[:, :, 0:2].reshape(len(filled), FRAME_DIM),
                         source_id=source_id), report

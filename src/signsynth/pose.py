@@ -9,8 +9,9 @@ vector with the canonical layout::
 
 with each keypoint contributing adjacent (x, y) values and indices ascending
 within each group.  The selection is a constant (``SELECTED_BODY_INDICES``,
-``SELECTED_FACE_INDICES``): a pose file does not record which keypoints
-fill its 152 values.  All types are immutable values (backing arrays are
+``SELECTED_FACE_INDICES``, and their positions in a stacked frame,
+``SELECTED_LANDMARKS``): a pose file does not record which keypoints fill
+its 152 values.  All types are immutable values (backing arrays are
 read-only copies), which forked ``--jobs`` workers share copy-on-write, and
 each checks its fields when it is built: a ``SentenceRecord`` holds only what
 a manifest line can carry.
@@ -18,7 +19,7 @@ a manifest line can carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,15 +65,14 @@ SELECTED_FACE = len(SELECTED_FACE_INDICES)  # 23
 SELECTED_KEYPOINTS = SELECTED_BODY + SELECTED_FACE + 2 * HAND_LANDMARKS  # 76
 FRAME_DIM = 2 * SELECTED_KEYPOINTS  # 152
 
-
-def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float32)
-    if arr.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: contains non-finite values")
-    arr.setflags(write=False)
-    return arr
+# Positions of the selected keypoints in a stacked (543, 3) frame, in the
+# canonical [body, face, left hand, right hand] order; one read-only array.
+SELECTED_LANDMARKS = np.concatenate([
+    np.add(SELECTED_BODY_INDICES, GROUP_OFFSETS["body"]),
+    np.add(SELECTED_FACE_INDICES, GROUP_OFFSETS["face"]),
+    np.arange(GROUP_OFFSETS["left_hand"], TOTAL_LANDMARKS),  # both hands, every point
+])
+SELECTED_LANDMARKS.setflags(write=False)
 
 
 def _number(value) -> Optional[float]:
@@ -150,19 +150,6 @@ class RawLandmarkFrame:
 
 
 @dataclass(frozen=True)
-class PoseFrame:
-    """A selected, flattened 152-value pose vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_array(self.values, (FRAME_DIM,), "values"))
-
-    def __len__(self) -> int:
-        return FRAME_DIM
-
-
-@dataclass(frozen=True)
 class PoseSequence:
     """Ordered pose frames for one word clip or one stitched sentence.
 
@@ -233,30 +220,3 @@ class SentenceRecord:
         if self.pose_path is not None and n_frames is None:
             raise ValueError(f"record {record_id!r}: pose_path set but n_frames missing")
         object.__setattr__(self, "text", tuple(text))
-
-
-# Positions of the selected keypoints in a stacked (543, 3) frame, in the
-# canonical [body, face, left hand, right hand] order.
-_GLOBAL_INDICES = np.concatenate([
-    np.add(SELECTED_BODY_INDICES, GROUP_OFFSETS["body"]),
-    np.add(SELECTED_FACE_INDICES, GROUP_OFFSETS["face"]),
-    np.arange(GROUP_OFFSETS["left_hand"], TOTAL_LANDMARKS),  # both hands, every point
-])
-_GLOBAL_INDICES.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class KeypointSelection:
-    """The 76 keypoints every frame keeps (11 body, 23 face, both hands)."""
-
-    body_indices: tuple[int, ...] = field(default=SELECTED_BODY_INDICES, init=False)
-    face_indices: tuple[int, ...] = field(default=SELECTED_FACE_INDICES, init=False)
-
-    def global_indices(self) -> np.ndarray:
-        """Selected positions in a stacked 543-landmark frame; one read-only array."""
-        return _GLOBAL_INDICES
-
-
-def default_selection() -> KeypointSelection:
-    """The standard 76-keypoint selection: 11 body + 23 face + both hands."""
-    return KeypointSelection()

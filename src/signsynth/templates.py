@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .io import atomic_open, read_jsonl, read_lines
+from .io import DataError, atomic_open, read_jsonl, read_lines
 from .pose import SentenceRecord
 from .seeds import derive_seed
 
@@ -241,7 +241,7 @@ def sample_expansions(
 
 
 def _template_line(line: str) -> Template | None:
-    if not line or line.startswith("#"):
+    if not line.strip() or line.lstrip().startswith("#"):
         return None
     parts = line.split("\t")
     if len(parts) != 3:
@@ -251,7 +251,14 @@ def _template_line(line: str) -> Template | None:
 
 
 def load_templates(path) -> list[Template]:
-    return [template for _, template in read_lines(path, _template_line)]
+    """One template per 'id<TAB>phenomenon<TAB>dsl' line; blank and '#' lines
+    are skipped.  An id given twice is a DataError citing the line of the repeat."""
+    templates: dict[str, Template] = {}
+    for lineno, template in read_lines(path, _template_line):
+        if template.id in templates:
+            raise DataError(f"{path}:{lineno}: template id {template.id!r} given twice")
+        templates[template.id] = template
+    return list(templates.values())
 
 
 def save_templates(path, templates: Sequence[Template]) -> None:

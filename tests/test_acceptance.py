@@ -34,8 +34,9 @@ from signsynth.pose import (
     FRAME_DIM,
     PoseSequence,
     RawLandmarkFrame,
+    SELECTED_BODY_INDICES,
+    SELECTED_FACE_INDICES,
     SentenceRecord,
-    default_selection,
 )
 from signsynth.stitch import SignLexicon, StitchConfig, compute_sampling_rate, stitch_sentence
 from signsynth.templates import (
@@ -60,22 +61,21 @@ def test_keypoint_selection():
     """1,000 random frames: 152 values each, exact retained sets, exclusion
     blindness; all within 5 seconds."""
     start = time.monotonic()
-    sel = default_selection()
-    assert set(sel.body_indices) == {0, 2, 5, 7, 8, 11, 12, 13, 14, 15, 16}
-    assert len(sel.face_indices) == 23
+    assert set(SELECTED_BODY_INDICES) == {0, 2, 5, 7, 8, 11, 12, 13, 14, 15, 16}
+    assert len(SELECTED_FACE_INDICES) == 23
 
     rng = np.random.default_rng(1234)
     excluded = sorted(EXCLUDED_BODY)
     for i in range(1000):
         frame = random_raw_frame(rng)
-        out = select_and_flatten(frame, sel)
-        assert out.values.shape == (152,)
+        out = select_and_flatten(frame)
+        assert out.shape == (152,)
         # Perturb one excluded body landmark; output must not move.
         stacked = np.array(frame.stacked())
         g = excluded[i % len(excluded)]
         stacked[g, 0:2] = rng.random(2)
         assert np.array_equal(
-            out.values, select_and_flatten(RawLandmarkFrame.from_stacked(stacked), sel).values
+            out, select_and_flatten(RawLandmarkFrame.from_stacked(stacked))
         )
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"keypoint selection took {elapsed:.2f}s"

@@ -17,7 +17,7 @@ summarize = bench_pairs.summarize
 class TestSummarize:
     def test_medians_quartiles_and_wins(self):
         pairs = [(1.0 + i / 10, 0.9 + i / 10) for i in range(9)] + [(1.0, 1.0)]
-        s = summarize(pairs, "lower")
+        s = summarize(pairs, "lower", 0.25)
         assert s["pairs"] == 10 and s["wins"] == 9 and s["ties"] == 1
         parent = sorted(p for p, _ in pairs)
         assert s["parent"]["median"] == pytest.approx((parent[4] + parent[5]) / 2)
@@ -30,31 +30,67 @@ class TestSummarize:
 
     def test_higher_is_better_flips_the_win(self):
         pairs = [(10.0, 12.0), (10.0, 9.0), (10.0, 10.0)]
-        assert summarize(pairs, "higher")["wins"] == 1
-        assert summarize(pairs, "lower")["wins"] == 1
-        assert summarize([(10.0, 12.0)] * 3, "higher")["wins"] == 3
-        assert summarize([(10.0, 12.0)] * 3, "lower")["wins"] == 0
+        assert summarize(pairs, "higher", 0.25)["wins"] == 1
+        assert summarize(pairs, "lower", 0.25)["wins"] == 1
+        assert summarize([(10.0, 12.0)] * 3, "higher", 0.25)["wins"] == 3
+        assert summarize([(10.0, 12.0)] * 3, "lower", 0.25)["wins"] == 0
 
     def test_clear_gain_needs_nine_in_ten_and_a_gap_beyond_the_parent_spread(self):
         steady = [(2.0, 1.5)] * 10
-        assert summarize(steady, "lower")["clear_gain"]
+        assert summarize(steady, "lower", 0.25)["clear_gain"]
         eight = [(2.0, 1.5)] * 8 + [(2.0, 2.5)] * 2
-        assert summarize(eight, "lower")["wins"] == 8
-        assert not summarize(eight, "lower")["clear_gain"]
+        assert summarize(eight, "lower", 0.25)["wins"] == 8
+        assert not summarize(eight, "lower", 0.25)["clear_gain"]
         # wins every pair, but by less than the parent's interquartile range
         noisy = [(1.0 + i, 0.99 + i) for i in range(10)]
-        assert summarize(noisy, "lower")["wins"] == 10
-        assert not summarize(noisy, "lower")["clear_gain"]
+        assert summarize(noisy, "lower", 0.25)["wins"] == 10
+        assert not summarize(noisy, "lower", 0.25)["clear_gain"]
 
     def test_one_pair(self):
-        s = summarize([(3.0, 2.0)], "lower")
+        s = summarize([(3.0, 2.0)], "lower", 0.25)
         assert s["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
         assert s["wins"] == 1 and s["clear_gain"]
 
     @pytest.mark.parametrize("pairs, better", [([], "lower"), ([(1.0, 1.0)], "faster")])
     def test_bad_arguments(self, pairs, better):
         with pytest.raises(ValueError):
-            summarize(pairs, better)
+            summarize(pairs, better, 0.25)
+
+
+class TestRegression:
+    @staticmethod
+    def regression(pairs, better, bound):
+        return summarize(pairs, better, bound)["regression"]
+
+    def test_worse_by_more_than_the_bound(self):
+        pairs = [(1.0, 1.3)] * 10
+        assert self.regression(pairs, "lower", 0.25) == "worse"
+        assert self.regression(pairs, "lower", 0.35) == "within bound"
+        # higher is better: the change's median falls from 10 to 7
+        assert self.regression([(10.0, 7.0)] * 10, "higher", 0.25) == "worse"
+        assert self.regression([(10.0, 13.0)] * 10, "higher", 0.25) == "within bound"
+
+    def test_worse_wins_over_a_wide_parent_spread(self):
+        pairs = [(1.0 + i / 5, 3.0) for i in range(10)]
+        assert self.regression(pairs, "lower", 0.25) == "worse"
+
+    def test_parent_spread_beyond_the_bound_is_unresolved(self):
+        # Parent quartiles 1.45 and 2.35 around a median of 1.9: a spread of
+        # 47% against a 25% bound, and the medians agree.
+        parent = [1.0 + i / 5 for i in range(10)]
+        pairs = list(zip(parent, parent))
+        assert self.regression(pairs, "lower", 0.25) == "unresolved"
+        assert self.regression(pairs, "lower", 0.5) == "within bound"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        parent = [1.0 + i / 5 for i in range(10)]
+        assert self.regression([(p, 0.9) for p in parent], "lower", 0.25) == "within bound"
+        # one change run no better than the parent's best leaves it open
+        change = [0.9] * 9 + [1.0]
+        assert self.regression(list(zip(parent, change)), "lower", 0.25) == "unresolved"
+        assert self.regression([(p, 3.0) for p in parent], "higher", 0.25) == "within bound"
+        change = [3.0] * 9 + [parent[-1]]
+        assert self.regression(list(zip(parent, change)), "higher", 0.25) == "unresolved"
 
 
 class TestMain:
@@ -63,7 +99,7 @@ class TestMain:
         for tree in trees.values():
             (tree / "src").mkdir(parents=True)
         (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
-            {"end_to_end": [{"name": "wall_s", "better": "lower"}]}
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
         ))
         calls = []
         built = []
@@ -91,6 +127,8 @@ class TestMain:
         summary = json.loads(lines[-1])
         assert summary["digests_equal"] == 2
         assert summary["summary"]["wall_s"]["wins"] == 3
+        assert summary["summary"]["wall_s"]["regression"] == "within bound"
+        assert lines[-2].endswith("; regression: within bound")
 
 
 class TestBuildInputs:

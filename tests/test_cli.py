@@ -22,7 +22,6 @@ from signsynth.io import (
 from signsynth.pose import (
     FRAME_DIM,
     LANDMARK_GROUPS,
-    PoseFrame,
     PoseSequence,
     RawLandmarkFrame,
     SentenceRecord,
@@ -190,7 +189,6 @@ class TestIngestAndStitch:
             raise AssertionError(f"{type(self).__name__} built on the ingest path")
 
         monkeypatch.setattr(RawLandmarkFrame, "__post_init__", refuse)
-        monkeypatch.setattr(PoseFrame, "__post_init__", refuse)
         assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "lex")]) == 0
         assert len(read_pose_file(tmp_path / "lex" / "w.psp")) == 5
 
@@ -1013,6 +1011,21 @@ class TestSmallerFixes:
         ]) == 2
         assert capsys.readouterr().err == (
             f"signsynth: data error: {templates}: template 't1': unknown slot category 'Foo'\n"
+        )
+        assert not out.exists()
+
+    def test_gen_repeated_template_id_names_the_template_file(self, tmp_path, capsys):
+        templates = tmp_path / "t.tsv"
+        templates.write_text("t01\tcustom\tV[]\nt02\tcustom\tV[]\nt01\tcustom\tV[]\n")
+        lexicon = tmp_path / "slots.jsonl"
+        lexicon.write_text(json.dumps({"category": "V", "word": "see"}) + "\n")
+        out = tmp_path / "g.jsonl"
+        assert cli([
+            "gen", "--templates", str(templates), "--lexicon", str(lexicon),
+            "--limit", "2", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {templates}:3: template id 't01' given twice\n"
         )
         assert not out.exists()
 

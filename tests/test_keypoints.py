@@ -17,7 +17,9 @@ from signsynth.pose import (
     EXCLUDED_BODY,
     FRAME_DIM,
     RawLandmarkFrame,
-    default_selection,
+    SELECTED_BODY_INDICES,
+    SELECTED_FACE_INDICES,
+    SELECTED_LANDMARKS,
 )
 
 from . import oracles
@@ -102,30 +104,30 @@ class TestInterpolate:
 
 class TestSelectAndFlatten:
     def test_output_length(self, rng):
-        out = select_and_flatten(random_raw_frame(rng), default_selection())
-        assert len(out) == FRAME_DIM
+        out = select_and_flatten(random_raw_frame(rng))
+        assert out.shape == (FRAME_DIM,) and out.dtype == np.float32
+        assert not out.flags.writeable
 
     def test_index_map_oracle(self):
         # Landmark g carries (g/1000, g/1000): the flattened vector must be
         # exactly the oracle's explicit index lookup, starting at body 0.
-        sel = default_selection()
         frame = indexed_raw_frame()
-        got = select_and_flatten(frame, sel).values
+        got = select_and_flatten(frame)
         want = oracles.selection_index_map(
-            frame.stacked().tolist(), sel.body_indices, sel.face_indices
+            frame.stacked().tolist(), SELECTED_BODY_INDICES, SELECTED_FACE_INDICES
         )
-        assert np.allclose(got, np.array(want, dtype=np.float32))
-        assert got[0] == np.float32(sel.body_indices[0] / 1000.0)
+        assert np.array_equal(got, np.array(want, dtype=np.float32))
+        assert got.dtype == np.float32 and not got.flags.writeable
+        assert got[0] == np.float32(SELECTED_BODY_INDICES[0] / 1000.0)
         assert got[0] == np.float32(0.0)  # body index 0 is retained and first
 
     def test_excluded_landmark_is_ignored(self, rng):
-        sel = default_selection()
         base = random_raw_frame(rng)
         stacked = np.array(base.stacked())
         stacked[26, 0:2] = 0.123  # body 26 (right knee) is excluded
         modified = RawLandmarkFrame.from_stacked(stacked)
         assert np.array_equal(
-            select_and_flatten(base, sel).values, select_and_flatten(modified, sel).values
+            select_and_flatten(base), select_and_flatten(modified)
         )
 
     @given(st.integers(0, 2**32 - 1))
@@ -138,8 +140,8 @@ class TestSelectAndFlatten:
         for g in EXCLUDED_BODY:
             stacked[g, 0:2] = sentinel
         frame = RawLandmarkFrame.from_stacked(stacked)
-        out = select_and_flatten(frame, default_selection())
-        assert not np.any(np.isclose(out.values, sentinel))
+        out = select_and_flatten(frame)
+        assert not np.any(np.isclose(out, sentinel))
 
 
 def stack(frames) -> np.ndarray:
@@ -169,13 +171,12 @@ class TestArrayCore:
     def test_flatten_rows_match_per_frame_and_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
         stacked = rng.random((n, 543, 3)).astype(np.float32)
-        sel = default_selection()
-        seq = flatten_video(stacked, sel, source_id="w")
+        seq = flatten_video(stacked, source_id="w")
         assert seq.frames.shape == (n, FRAME_DIM)
         assert seq.source_id == "w"
         for t in range(n):
             want = oracles.selection_index_map(
-                stacked[t].tolist(), sel.body_indices, sel.face_indices
+                stacked[t].tolist(), SELECTED_BODY_INDICES, SELECTED_FACE_INDICES
             )
             assert np.array_equal(seq.frames[t], np.array(want, dtype=np.float32))
 
@@ -183,7 +184,7 @@ class TestArrayCore:
 class TestProcessWordVideo:
     def test_preserves_frame_count(self, rng):
         frames = [random_raw_frame(rng) for _ in range(10)]
-        seq, _ = process_word_video(stack(frames), default_selection(), 0.8, source_id="w1")
+        seq, _ = process_word_video(stack(frames), 0.8, source_id="w1")
         assert len(seq) == 10
         assert seq.source_id == "w1"
 
@@ -193,23 +194,21 @@ class TestProcessWordVideo:
         # Filling only the kept keypoints gives the frames and the report of
         # filling all 543 landmarks and then selecting.
         rng = np.random.default_rng(seed)
-        sel = default_selection()
         stacked = rng.random((n, 543, 3)).astype(np.float32)
         # Donorless columns, some of them among the kept keypoints.
-        donorless = np.concatenate([rng.integers(0, 543, 4), rng.choice(sel.global_indices(), 4)])
+        donorless = np.concatenate([rng.integers(0, 543, 4), rng.choice(SELECTED_LANDMARKS, 4)])
         stacked[:, donorless, 2] = 0.0
         before = stacked.copy()
-        seq, report = process_word_video(stacked, sel, threshold)
+        seq, report = process_word_video(stacked, threshold)
         filled, want_report = fill_low_confidence(stacked, threshold)
-        assert np.array_equal(seq.frames, flatten_video(filled, sel).frames)
+        assert np.array_equal(seq.frames, flatten_video(filled).frames)
         assert report == want_report
         assert np.array_equal(stacked, before)  # the input is not modified
 
     def test_all_confident_equals_flatten(self, rng):
         stacked = stack([random_raw_frame(rng, confidence=1.0) for _ in range(4)])
-        sel = default_selection()
-        seq, report = process_word_video(stacked, sel, 0.8)
-        assert np.array_equal(seq.frames, flatten_video(stacked, sel).frames)
+        seq, report = process_word_video(stacked, 0.8)
+        assert np.array_equal(seq.frames, flatten_video(stacked).frames)
         assert report == InterpolationReport(0, 0, 0)
 
     def test_low_confidence_hand_landmark(self, rng):
@@ -221,10 +220,9 @@ class TestProcessWordVideo:
             frame_with_conf(rng, {hand_g: 0.3}),
             frame_with_conf(rng, {hand_g: 0.9}),
         ]
-        sel = default_selection()
-        seq, _ = process_word_video(stack(frames), sel, 0.8)
+        seq, _ = process_word_video(stack(frames), 0.8)
         patched, _ = interpolate_low_confidence(frames, 0.8)
-        assert np.array_equal(seq.frames, flatten_video(stack(patched), sel).frames)
+        assert np.array_equal(seq.frames, flatten_video(stack(patched)).frames)
         # The patched value actually comes from frame 0 (earlier-donor tie).
         assert np.array_equal(
             patched[1].stacked()[hand_g, :2], frames[0].stacked()[hand_g, :2]
@@ -232,4 +230,4 @@ class TestProcessWordVideo:
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty input"):
-            process_word_video([], default_selection(), 0.8)
+            process_word_video([], 0.8)

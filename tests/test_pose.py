@@ -1,23 +1,27 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from signsynth import keypoints
+from signsynth.keypoints import flatten_video, process_word_video, select_and_flatten
 from signsynth.pose import (
     BODY_LANDMARKS,
     EXCLUDED_BODY,
     FRAME_DIM,
     GROUP_OFFSETS,
     HAND_LANDMARKS,
-    KeypointSelection,
-    PoseFrame,
     PoseSequence,
     RawLandmarkFrame,
+    SELECTED_BODY,
+    SELECTED_BODY_INDICES,
+    SELECTED_FACE,
     SELECTED_FACE_INDICES,
+    SELECTED_KEYPOINTS,
+    SELECTED_LANDMARKS,
     SentenceRecord,
-    default_selection,
     landmark_group,
 )
 
@@ -28,28 +32,27 @@ class TestDefaultSelection:
     def test_body_retained_set(self):
         # Oracle: brute-force set difference of {0..32} and the exclusion list.
         expected = sorted(set(range(BODY_LANDMARKS)) - set(EXCLUDED_BODY))
-        sel = default_selection()
-        assert list(sel.body_indices) == expected
-        assert list(sel.body_indices) == [0, 2, 5, 7, 8, 11, 12, 13, 14, 15, 16]
+        assert list(SELECTED_BODY_INDICES) == expected
+        assert list(SELECTED_BODY_INDICES) == [0, 2, 5, 7, 8, 11, 12, 13, 14, 15, 16]
 
     def test_face_count(self):
-        assert len(default_selection().face_indices) == 23
+        assert len(SELECTED_FACE_INDICES) == SELECTED_FACE == 23
 
     def test_total_keypoints(self):
-        sel = default_selection()
-        assert len(sel.body_indices) + len(sel.face_indices) + 21 + 21 == 76
+        assert SELECTED_BODY + SELECTED_FACE + 21 + 21 == SELECTED_KEYPOINTS == 76
         assert FRAME_DIM == 152
 
     def test_deterministic(self):
-        assert default_selection() == default_selection()
+        # The gather uses the one array built at import.
+        assert keypoints.SELECTED_LANDMARKS is SELECTED_LANDMARKS
 
     def test_no_overlap_with_exclusions(self):
-        assert set(default_selection().body_indices) & set(EXCLUDED_BODY) == set()
+        assert set(SELECTED_BODY_INDICES) & set(EXCLUDED_BODY) == set()
+        assert set(SELECTED_LANDMARKS.tolist()) & set(EXCLUDED_BODY) == set()
 
     def test_face_indices_sorted_and_in_range(self):
-        sel = default_selection()
-        assert list(sel.face_indices) == sorted(SELECTED_FACE_INDICES)
-        assert all(0 <= i < 468 for i in sel.face_indices)
+        assert list(SELECTED_FACE_INDICES) == sorted(SELECTED_FACE_INDICES)
+        assert all(0 <= i < 468 for i in SELECTED_FACE_INDICES)
 
 
 class TestRawLandmarkFrame:
@@ -107,20 +110,6 @@ class TestRawLandmarkFrame:
 
 
 class TestPoseTypes:
-    def test_pose_frame_length(self, rng):
-        frame = PoseFrame(rng.random(FRAME_DIM))
-        assert len(frame) == FRAME_DIM
-
-    def test_pose_frame_rejects_wrong_length(self, rng):
-        with pytest.raises(ValueError):
-            PoseFrame(rng.random(151))
-
-    def test_pose_frame_rejects_nan(self, rng):
-        values = rng.random(FRAME_DIM)
-        values[7] = np.nan
-        with pytest.raises(ValueError):
-            PoseFrame(values)
-
     def test_pose_sequence_non_empty(self):
         with pytest.raises(ValueError):
             PoseSequence(frames=np.zeros((0, FRAME_DIM)))
@@ -128,6 +117,15 @@ class TestPoseTypes:
     def test_pose_sequence_length(self, rng):
         seq = PoseSequence(frames=rng.random((4, FRAME_DIM)), source_id="w")
         assert len(seq) == 4
+
+    def test_pose_sequence_rejects_wrong_width_and_nan(self, rng):
+        # The row checks that a single frame, a row of a one-frame clip, gets.
+        with pytest.raises(ValueError, match="expected"):
+            PoseSequence(frames=rng.random((1, FRAME_DIM - 1)))
+        values = rng.random((1, FRAME_DIM))
+        values[0, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            PoseSequence(frames=values)
 
 
 class TestSentenceRecord:
@@ -165,42 +163,32 @@ class TestKeypointSelection:
         {"body_indices": tuple(range(11))},
         {"face_indices": SELECTED_FACE_INDICES},
     ], ids=["body", "face"])
-    def test_takes_no_arguments(self, kwargs):
+    def test_takes_no_arguments(self, rng, kwargs):
         # A pose file does not record its selection, so none can be chosen.
-        with pytest.raises(TypeError):
-            KeypointSelection(**kwargs)
-        with pytest.raises(TypeError):
-            KeypointSelection(*kwargs.values())
+        frame = random_raw_frame(rng)
+        stacked = frame.stacked()[None]
+        calls = [(select_and_flatten, (frame,)), (flatten_video, (stacked,)),
+                 (process_word_video, (stacked, 0.8))]
+        for fn, args in calls:
+            assert "sel" not in inspect.signature(fn).parameters
+            with pytest.raises(TypeError):
+                fn(*args, **kwargs)
 
     def test_global_indices_cover_76(self):
-        gi = default_selection().global_indices()
-        assert len(gi) == 76
-        assert len(set(gi.tolist())) == 76
+        assert len(SELECTED_LANDMARKS) == 76
+        assert len(set(SELECTED_LANDMARKS.tolist())) == 76
 
     def test_global_indices_one_read_only_array(self):
-        sel = KeypointSelection()
-        gi = sel.global_indices()
-        assert gi is sel.global_indices() is default_selection().global_indices()
-        assert not gi.flags.writeable
+        assert not SELECTED_LANDMARKS.flags.writeable
         with pytest.raises(ValueError):
-            gi[0] = 1
+            SELECTED_LANDMARKS[0] = 1
         # Body, face, left hand, right hand, each shifted to its group's
         # offset in the stacked 543-landmark array.
         expected = np.concatenate([
-            np.asarray(sel.body_indices) + GROUP_OFFSETS["body"],
-            np.asarray(sel.face_indices) + GROUP_OFFSETS["face"],
+            np.asarray(SELECTED_BODY_INDICES) + GROUP_OFFSETS["body"],
+            np.asarray(SELECTED_FACE_INDICES) + GROUP_OFFSETS["face"],
             np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["left_hand"],
             np.arange(HAND_LANDMARKS) + GROUP_OFFSETS["right_hand"],
         ])
-        assert gi.dtype == expected.dtype
-        assert np.array_equal(gi, expected)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_pose_frame_always_finite_and_152(self, seed):
-        # Pipeline-wide invariant: any constructible PoseFrame has exactly
-        # 152 finite values.
-        values = np.random.default_rng(seed).standard_normal(FRAME_DIM)
-        frame = PoseFrame(values)
-        assert frame.values.shape == (FRAME_DIM,)
-        assert np.isfinite(frame.values).all()
+        assert SELECTED_LANDMARKS.dtype == expected.dtype
+        assert np.array_equal(SELECTED_LANDMARKS, expected)

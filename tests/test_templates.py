@@ -300,6 +300,11 @@ class TestFiles:
         path = tmp_path / "templates.tsv"
         save_templates(path, templates)
         assert load_templates(path) == templates
+        # Blank lines, whitespace-only lines and '#' comment lines, indented
+        # or not, are skipped.
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text("  # note\n" + first + "   \n" + "\n# comment\n" + second)
+        assert load_templates(path) == templates
 
     def test_lexicon_round_trip(self, tmp_path):
         path = tmp_path / "lex.jsonl"
