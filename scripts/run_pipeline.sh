@@ -36,7 +36,7 @@ signsynth postprocess --in "$WS/corpus_merged.jsonl" --names "$WS/names.txt" \
     --out "$WS/corpus_final.jsonl"
 
 echo "== stitch: sentences + lexicon -> pose dataset"
-signsynth --seed "$SEED" --skip-oov stitch \
+signsynth --seed "$SEED" stitch --skip-oov \
     --manifest "$WS/template_sentences.jsonl" \
     --lexicon-dir "$WS/lexicon" \
     --out-dir "$WS/poses" \

@@ -1,7 +1,10 @@
 """Command-line interface chaining all pipeline stages.
 
 Subcommands: gen, filter, merge, postprocess, ingest, stitch, sample,
-tokenize, eval, stats.  Exit codes: 0 success, 1 usage error, 2 data error.
+tokenize train, tokenize encode, eval, stats.  The global flags --seed,
+--config and --jobs come before the subcommand; every other flag belongs to
+one subcommand, and argparse rejects it elsewhere.  Exit codes: 0 success,
+1 usage error, 2 data error.
 With a fixed --seed, every subcommand produces byte-identical artifacts
 across runs and across --jobs.  --jobs N splits the raw files of ingest and
 the stitchable sentences of stitch into contiguous chunks, one forked
@@ -33,13 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# A setting a --config file may give: the subcommand and flag that also set
-# it, the type its value is read as, and its default (None: it is required).
+# A setting a --config file may give: the command and flag that also set it,
+# the type its value is read as, and its default (None: it is required).
 Setting = namedtuple("Setting", "command flag type default")
 
 # Each setting is declared here once; a default that a library dataclass holds
-# is read from it.  cli() resolves the chosen command's settings onto args:
-# explicit flag > config file > default.
+# is read from it.  cli() resolves each setting whose flag the parsed command
+# declares onto args: explicit flag > config file > default.
 SETTINGS: dict[str, Setting] = {
     "min_rate": Setting("filter", "--min-rate", float, 0.9),
     "max_len": Setting("merge", "--max-len", int, corpus.MergePolicy.max_len),
@@ -53,7 +56,7 @@ SETTINGS: dict[str, Setting] = {
     "max_real_fraction":
         Setting("sample", "--max-real", float, curriculum.AnnealSchedule.max_real_fraction),
     "ramp_steps": Setting("sample", "--ramp", int, curriculum.AnnealSchedule.ramp_steps),
-    "vocab_size": Setting("tokenize", "--vocab-size", int, 15_000),
+    "vocab_size": Setting("tokenize train", "--vocab-size", int, 15_000),
 }
 
 
@@ -217,37 +220,21 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _check_flags(args) -> None:
-    """Reject a flag that the chosen command would ignore, and tokenize
-    encode without --out, before the config file or any input is read.  A
-    config file may still give vocab_size to encode: one file serves every
-    command."""
-    if args.skip_oov and args.command != "stitch":
-        raise UsageError(f"{args.command} does not take --skip-oov")
-    if args.command != "tokenize":
-        return
-    ignored = {"train": {"--out": args.out},
-               "encode": {"--extra": args.extra, "--vocab-size": args.vocab_size}}
-    for flag, value in ignored[args.action].items():
-        if value is not None:
-            raise UsageError(f"tokenize {args.action} does not take {flag}")
-    if args.action == "encode" and args.out is None:
-        raise UsageError("tokenize encode requires --out")
+def _cmd_tokenize_train(args) -> int:
+    paths = [args.input, *(args.extra or [])]
+    texts = [r.text for path in paths for r in io.read_manifest(path)]
+    # encode splits a sentence's text on whitespace, so train on those words
+    words = ([word for token in text for word in token.split()] for text in texts)
+    try:
+        model = bpe.bpe_train(words, args.vocab_size)
+    except bpe.EmptyCorpus:
+        raise io.DataError(f"{', '.join(paths)}: no words to train on") from None
+    bpe.save_model(args.model, model)
+    print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
+    return 0
 
 
-def _cmd_tokenize(args) -> int:
-    if args.action == "train":
-        paths = [args.input, *(args.extra or [])]
-        texts = [r.text for path in paths for r in io.read_manifest(path)]
-        # encode splits a sentence's text on whitespace, so train on those words
-        words = ([word for token in text for word in token.split()] for text in texts)
-        try:
-            model = bpe.bpe_train(words, args.vocab_size)
-        except bpe.EmptyCorpus:
-            raise io.DataError(f"{', '.join(paths)}: no words to train on") from None
-        bpe.save_model(args.model, model)
-        print(f"tokenize train: vocab {len(model.vocab)}, {len(model.merges)} merges")
-        return 0
+def _cmd_tokenize_encode(args) -> int:
     model = bpe.load_model(args.model)
     records = io.read_manifest(args.input)
     with io.atomic_open(args.out) as fh:
@@ -307,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=_count(1), default=1,
                         help="processes for ingest and stitch, at most one per CPU; the other "
                              "subcommands run in one")
-    parser.add_argument("--skip-oov", action="store_true",
-                        help="stitch a sentence without its out-of-lexicon tokens; by "
-                             "default such a sentence is skipped and counted")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="expand templates into a sentence manifest")
@@ -357,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-order", choices=WORD_ORDERS, default=stitch.StitchConfig.word_order)
     p.add_argument("--jitter", type=_strides, default=stitch.StitchConfig.jitter_strides,
                    help="comma-separated strides, e.g. 1,2,3")
+    p.add_argument("--skip-oov", action="store_true",
+                   help="stitch a sentence without its out-of-lexicon tokens; by "
+                        "default such a sentence is skipped and counted")
     p.set_defaults(func=_cmd_stitch)
 
     p = sub.add_parser("sample", help="export curriculum mixture schedule CSV")
@@ -366,14 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("tokenize", help="train or apply the BPE tokenizer")
-    p.add_argument("action", choices=("train", "encode"))
+    tokenize = sub.add_parser("tokenize", help="train or apply the BPE tokenizer")
+    actions = tokenize.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    p = actions.add_parser("train", help="train a BPE model on manifests")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--extra", nargs="*", default=None,
                    help="extra manifests for training (e.g. the real train split)")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_tokenize)
+    p.set_defaults(func=_cmd_tokenize_train)
+
+    p = actions.add_parser("encode", help="encode a manifest into token ids")
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--model", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_tokenize_encode)
 
     p = sub.add_parser("eval", help="BLEU/ROUGE over candidate-reference pairs")
     p.add_argument("--in", dest="input", required=True,
@@ -389,18 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix for *_lengths.csv / *_frames.csv")
     p.set_defaults(func=_cmd_stats)
 
+    leaves = {**sub.choices, **{f"tokenize {name}": p for name, p in actions.choices.items()}}
     for name, s in SETTINGS.items():
-        sub.choices[s.command].add_argument(s.flag, dest=name, type=s.type)
+        leaves[s.command].add_argument(s.flag, dest=name, type=s.type)
     return parser
 
 
 def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_flags(args)
         config = load_config(args.config) if args.config else {}
         for name, s in SETTINGS.items():  # flag > config > default
-            if s.command == args.command and getattr(args, name) is None:
+            if name in vars(args) and getattr(args, name) is None:
                 if name not in config and s.default is None:
                     raise UsageError(f"{s.flag} is required (or {name} in --config)")
                 setattr(args, name, s.type(config[name]) if name in config else s.default)

@@ -87,11 +87,12 @@ def outputs() -> Iterator[None]:
     """Publish what ``atomic_open`` and ``pose_set`` stage in the block as one
     commit; if it raises, remove the stages and the parents made for them.
     A nested block joins the enclosing one.  Every target is checked before
-    the first rename: a file must not replace a directory, a pose set must go
-    to a directory or a free name.  Pose sets go first, so a manifest never
-    names missing poses: renamed onto an absent or empty directory, else
-    moved in file by file.  Only the renames are a window: a crash among
-    them leaves the commit partly published."""
+    the first rename: no two stages may name one path once resolved, a file
+    must not replace a directory, a pose set must go to a directory or a free
+    name.  Pose sets go first, so a manifest never names missing poses:
+    renamed onto an absent or empty directory, else moved in file by file.
+    Only the renames are a window: a crash among them leaves the commit
+    partly published."""
     if _COMMIT.get() is not None:  # the enclosing block owns the commit
         yield
         return
@@ -117,7 +118,11 @@ def outputs() -> Iterator[None]:
 
 
 def _publish(stages: list[_Stage]) -> None:
+    seen = set()
     for _, target, pose_set, _ in stages:  # every target, before the first rename
+        if (real := target.resolve()) in seen:
+            raise DataError(f"{target}: one path given for two outputs")
+        seen.add(real)
         if (os.path.lexists(target) and not target.is_dir()) if pose_set else target.is_dir():
             code = errno.ENOTDIR if pose_set else errno.EISDIR
             raise OSError(code, os.strerror(code), str(target))

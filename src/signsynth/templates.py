@@ -247,6 +247,8 @@ def _template_line(line: str) -> Template | None:
     if len(parts) != 3:
         raise ValueError("expected 'id<TAB>phenomenon<TAB>dsl'")
     template_id, phenomenon, dsl = parts
+    if not template_id.strip():
+        raise ValueError("empty template id")
     return parse_template(dsl, template_id=template_id, phenomenon=phenomenon)
 
 

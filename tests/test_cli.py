@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 import itertools
 import json
+import re
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -225,14 +227,14 @@ class TestIngestAndStitch:
 
 
 class TestStitchOutputDir:
-    def stitch(self, tmp_path, records, *extra):
+    def stitch(self, tmp_path, records, *extra, flags=()):
         lex_dir = build_lexicon_dir(tmp_path)
         manifest = tmp_path / "sentences.jsonl"
         write_manifest(manifest, records)
         return cli([
             *extra, "stitch", "--manifest", str(manifest), "--lexicon-dir", str(lex_dir),
             "--out-dir", str(tmp_path / "out"), "--out-manifest", str(tmp_path / "out.jsonl"),
-            "--target-mean", "40",
+            "--target-mean", "40", *flags,
         ])
 
     def assert_nothing_written(self, tmp_path):
@@ -260,7 +262,7 @@ class TestStitchOutputDir:
         (("--skip-oov",), [SentenceRecord(id="s0", text=("zebra", "okapi"))]),
     ], ids=["empty", "oov", "skip-oov-all-missing"])
     def test_no_stitchable_records_names_inputs(self, tmp_path, capsys, flags, records):
-        assert self.stitch(tmp_path, records, *flags) == 2
+        assert self.stitch(tmp_path, records, flags=flags) == 2
         manifest, lex_dir = tmp_path / "sentences.jsonl", tmp_path / "lexicon"
         assert capsys.readouterr().err == (
             f"signsynth: data error: {manifest}, {lex_dir}: no stitchable records\n"
@@ -545,16 +547,26 @@ class TestStatsAndErrors:
         ("train", "--out"), ("encode", "--extra"), ("encode", "--vocab-size"),
     ])
     def test_tokenize_flag_of_the_other_action_is_usage_error(self, tmp_path, capsys, action, flag):
-        # The inputs do not exist: the error comes before any read.
+        # The config file and inputs do not exist: the error comes before any read.
         missing = str(tmp_path / "missing.jsonl")
         model = tmp_path / "model.json"
         value = "5" if flag == "--vocab-size" else missing
-        argv = ["tokenize", action, "--in", missing, "--model", str(model), flag, value]
+        argv = ["--config", missing, "tokenize", action, "--in", missing, "--model", str(model),
+                flag, value]
         if action == "encode":
             argv += ["--out", str(tmp_path / "ids.jsonl")]
         assert cli(argv) == 1
-        assert capsys.readouterr().err == (
-            f"signsynth: error: tokenize {action} does not take {flag}\n"
+        assert capsys.readouterr().err.endswith(
+            f"signsynth: error: unrecognized arguments: {flag} {value}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_tokenize_encode_requires_out(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert cli(["--config", missing, "tokenize", "encode", "--in", missing,
+                    "--model", missing]) == 1
+        assert capsys.readouterr().err.endswith(
+            "signsynth tokenize encode: error: the following arguments are required: --out\n"
         )
         assert sorted(tmp_path.iterdir()) == []
 
@@ -567,15 +579,19 @@ class TestStatsAndErrors:
                     "--model", missing, "--out", str(tmp_path / "ids.jsonl")]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["stats", "--manifest", "{missing}", "--out", "{out}"],
-        ["tokenize", "train", "--in", "{missing}", "--model", "{out}"],
-        ["sample", "--total-steps", "1", "--real-size", "1", "--synth-size", "1", "--out", "{out}"],
+        ["stats", "--manifest", "{missing}", "--out", "{out}", "--skip-oov"],
+        ["tokenize", "train", "--in", "{missing}", "--model", "{out}", "--skip-oov"],
+        ["sample", "--total-steps", "1", "--real-size", "1", "--synth-size", "1", "--out", "{out}",
+         "--skip-oov"],
+        # --skip-oov is stitch's flag, so it goes after the subcommand.
+        ["--skip-oov", "stitch", "--manifest", "{missing}", "--lexicon-dir", "{missing}",
+         "--out-dir", "{out}", "--out-manifest", "{out}.jsonl"],
     ])
     def test_skip_oov_outside_stitch_is_usage_error(self, tmp_path, capsys, argv):
         paths = {"missing": str(tmp_path / "missing.jsonl"), "out": str(tmp_path / "out")}
-        assert cli(["--skip-oov", *(arg.format(**paths) for arg in argv)]) == 1
-        assert capsys.readouterr().err == (
-            f"signsynth: error: {argv[0]} does not take --skip-oov\n"
+        assert cli(["--config", paths["missing"], *(arg.format(**paths) for arg in argv)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "signsynth: error: unrecognized arguments: --skip-oov\n"
         )
         assert sorted(tmp_path.iterdir()) == []
 
@@ -884,7 +900,7 @@ class TestConfigSettings:
                               (curriculum, "write_schedule_csv", "sched", "max_real_fraction")),
         "ramp_steps": ("sample", "--ramp", 60_000, "4", "5",
                        (curriculum, "write_schedule_csv", "sched", "ramp_steps")),
-        "vocab_size": ("tokenize", "--vocab-size", 15_000, "40", "50",
+        "vocab_size": ("tokenize train", "--vocab-size", 15_000, "40", "50",
                        (bpe, "bpe_train", "vocab_size", None)),
     }
 
@@ -915,7 +931,7 @@ class TestConfigSettings:
         if command == "sample":
             return ["sample", "--total-steps", "1", "--real-size", "1", "--synth-size", "1",
                     "--out", out]
-        assert command == "tokenize"
+        assert command == "tokenize train"
         return ["tokenize", "train", "--in", str(manifest), "--model", out]
 
     def test_cases_cover_every_setting(self):
@@ -966,14 +982,13 @@ class TestConfigSettings:
 
     @pytest.mark.parametrize("command", [
         "gen", "filter", "merge", "postprocess", "ingest", "stitch", "sample", "tokenize",
-        "eval", "stats",
+        "tokenize train", "tokenize encode", "eval", "stats",
     ])
     def test_help_lists_setting_flags(self, capsys, command):
-        assert cli([command, "--help"]) == 0
+        assert cli([*command.split(), "--help"]) == 0
         out = capsys.readouterr().out
         for setting_command, flag, *_ in self.SETTING_CASES.values():
-            if setting_command == command:
-                assert f"{flag} " in out
+            assert (f"{flag} " in out) == (setting_command == command), flag
 
     def test_readme_table_matches_settings(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -987,6 +1002,51 @@ class TestConfigSettings:
             (name, s.command, s.flag, "required" if s.default is None else str(s.default))
             for name, s in cli_module.SETTINGS.items()
         ]
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of ``parser`` by name; empty for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def leaf_parsers(parser: argparse.ArgumentParser, prefix: str = ""):
+    """Yield (command, parser) for every parser that runs a command."""
+    for name, sub in subcommands(parser).items():
+        if subcommands(sub):
+            yield from leaf_parsers(sub, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", sub
+
+
+class TestEveryFlagIsRead:
+    """A flag that a command declares but never reads would be accepted and
+    silently ignored.  So each leaf parser's func reads every dest the parser
+    declares, settings included, as ``args.<dest>``."""
+
+    # Declared once, before the subcommand; not every command reads them.
+    GLOBAL_DESTS = {"seed", "config", "jobs"}
+
+    def test_only_the_exempt_flags_are_global(self):
+        parser = cli_module.build_parser()
+        dests = {action.dest for action in parser._actions} - {"help", "command"}
+        assert dests == self.GLOBAL_DESTS
+
+    def test_leaf_commands(self):
+        assert sorted(dict(leaf_parsers(cli_module.build_parser()))) == [
+            "eval", "filter", "gen", "ingest", "merge", "postprocess", "sample", "stats",
+            "stitch", "tokenize encode", "tokenize train",
+        ]
+
+    @pytest.mark.parametrize("command", sorted(dict(leaf_parsers(cli_module.build_parser()))))
+    def test_func_reads_every_declared_dest(self, command):
+        parser = dict(leaf_parsers(cli_module.build_parser()))[command]
+        source = inspect.getsource(parser.get_default("func"))
+        dests = {action.dest for action in parser._actions} - {"help"}
+        assert dests
+        assert {d for d in dests if not re.search(rf"\bargs\.{d}\b", source)} == set()
 
 
 class TestSmallerFixes:
@@ -1026,6 +1086,21 @@ class TestSmallerFixes:
         ]) == 2
         assert capsys.readouterr().err == (
             f"signsynth: data error: {templates}:3: template id 't01' given twice\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("template_id", ["", "  "], ids=["empty", "blank"])
+    def test_gen_empty_template_id_is_a_data_error(self, tmp_path, capsys, template_id):
+        templates = tmp_path / "t.tsv"
+        templates.write_text(f"t01\tcustom\tV[]\n{template_id}\tcustom\tV[]\n")
+        lexicon = tmp_path / "slots.jsonl"
+        lexicon.write_text(json.dumps({"category": "V", "word": "see"}) + "\n")
+        out = tmp_path / "g.jsonl"
+        assert cli([
+            "gen", "--templates", str(templates), "--lexicon", str(lexicon), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"signsynth: data error: {templates}:2: empty template id\n"
         )
         assert not out.exists()
 
@@ -1209,6 +1284,29 @@ class TestOneCommitPerCommand:
         assert "No such file or directory" in capsys.readouterr().err
         assert workspace_tree(tmp_path) == before
 
+    @pytest.mark.parametrize("argv, path", [
+        (["gen", "--templates", data_path("toy_templates.tsv"),
+          "--lexicon", data_path("toy_slot_lexicon.jsonl"), "--limit", "2",
+          "--out", "s.json", "--stats", "./s.json"], "s.json"),
+        (["stats", "--manifest", "m.jsonl", "--out", "h_lengths.csv", "--hist-csv", "h"],
+         "h_lengths.csv"),
+        (["stitch", "--manifest", "m.jsonl", "--lexicon-dir", "lexicon", "--out-dir", "x",
+          "--out-manifest", "x", "--target-mean", "40"], "x"),
+    ], ids=["gen-stats", "stats-hist-csv", "stitch-out-dir"])
+    def test_one_path_for_two_outputs_publishes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                        argv, path):
+        monkeypatch.chdir(tmp_path)
+        build_lexicon_dir(tmp_path, words=("boy", "can", "see"))
+        write_manifest(tmp_path / "m.jsonl", [
+            SentenceRecord(id=f"s{i}", text=("boy", "can", "see")) for i in range(4)
+        ])
+        before = workspace_tree(tmp_path)
+        assert cli(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            f"signsynth: data error: {path}: one path given for two outputs\n"
+        )
+        assert workspace_tree(tmp_path) == before
+
 
 # The run_pipeline.sh chain on a small workspace, plus the ingest that builds
 # its lexicon.  Paths are relative to the workspace.
@@ -1232,9 +1330,9 @@ _SWEEP_CHAIN = {
     ],
     "ingest": ["ingest", "--raw-dir", "raw", "--out-dir", "lexicon"],
     "stitch": [
-        "--seed", "7", "--skip-oov", "stitch", "--manifest", "template_sentences.jsonl",
+        "--seed", "7", "stitch", "--manifest", "template_sentences.jsonl",
         "--lexicon-dir", "lexicon", "--out-dir", "poses", "--out-manifest", "stitched.jsonl",
-        "--target-mean", "6", "--jitter", "1,2",
+        "--target-mean", "6", "--jitter", "1,2", "--skip-oov",
     ],
     "sample": [
         "--seed", "7", "sample", "--total-steps", "50", "--real-size", "10",

@@ -783,6 +783,19 @@ class TestOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert (tmp_path / "taken").read_text() == "x"
 
+    def test_one_path_for_two_outputs_publishes_nothing(self, tmp_path):
+        # The paths match once resolved: "link" is a symlink to "real".
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        second = tmp_path / "link" / "." / "m.jsonl"
+        with pytest.raises(DataError) as exc:
+            with outputs():
+                write_manifest(tmp_path / "real" / "m.jsonl", [])
+                write_manifest(second, [])
+        assert str(exc.value) == f"{second}: one path given for two outputs"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert not any((tmp_path / "real").iterdir())
+
 
 class TestPoseSet:
     def test_publishes_set_under_returned_paths(self, rng, tmp_path):

@@ -78,9 +78,9 @@ def test_seeded_commands_do_not_load_openssl(tmp_path):
     argvs = [
         ["--seed", "3", "gen", "--templates", data_path("toy_templates.tsv"),
          "--lexicon", data_path("toy_slot_lexicon.jsonl"), "--sample", "2", "--out", manifest],
-        ["--seed", "3", "--skip-oov", "stitch", "--manifest", manifest,
+        ["--seed", "3", "stitch", "--manifest", manifest,
          "--lexicon-dir", str(lex_dir), "--out-dir", out,
-         "--out-manifest", str(tmp_path / "stitched.jsonl"), "--target-mean", "40"],
+         "--out-manifest", str(tmp_path / "stitched.jsonl"), "--target-mean", "40", "--skip-oov"],
         ["--seed", "3", "sample", "--total-steps", "50", "--real-size", "5",
          "--synth-size", "7", "--out", str(tmp_path / "schedule.csv")],
     ]
