@@ -88,9 +88,10 @@ def outputs() -> Iterator[None]:
     commit; if it raises, remove the stages and the parents made for them.
     A nested block joins the enclosing one.  Every target is checked before
     the first rename: no two stages may name one path once resolved, a file
-    must not replace a directory, a pose set must go to a directory or a free
-    name.  Pose sets go first, so a manifest never names missing poses:
-    renamed onto an absent or empty directory, else moved in file by file.
+    must not replace a directory or a pose file of the same commit, a pose
+    set must go to a directory or a free name.  Pose sets go first, so a
+    manifest never names missing poses: renamed onto an absent or empty
+    directory, else moved in file by file.
     Only the renames are a window: a crash among them leaves the commit
     partly published."""
     if _COMMIT.get() is not None:  # the enclosing block owns the commit
@@ -118,9 +119,12 @@ def outputs() -> Iterator[None]:
 
 
 def _publish(stages: list[_Stage]) -> None:
+    pose_sets = {stage.target.resolve(): stage.tmp for stage in stages if stage.pose_set}
     seen = set()
     for _, target, pose_set, _ in stages:  # every target, before the first rename
-        if (real := target.resolve()) in seen:
+        # One lookup per file: does a pose set of this commit hold its name?
+        staged = None if pose_set else pose_sets.get(target.parent.resolve())
+        if (real := target.resolve()) in seen or (staged and (staged / target.name).exists()):
             raise DataError(f"{target}: one path given for two outputs")
         seen.add(real)
         if (os.path.lexists(target) and not target.is_dir()) if pose_set else target.is_dir():

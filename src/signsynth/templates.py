@@ -17,13 +17,12 @@ by agreement, deduplicated on the emitted token tuple.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
-from .io import DataError, atomic_open, read_jsonl, read_lines
+from .io import DataError, read_jsonl, read_lines
 from .pose import SentenceRecord
 from .seeds import derive_seed
 
@@ -58,10 +57,6 @@ class Slot:
     category: str
     constraints: tuple[tuple[str, str], ...] = ()
 
-    def render(self) -> str:
-        inner = ",".join(f"{feat}={var}" for feat, var in self.constraints)
-        return f"{self.category}[{inner}]"
-
 
 @dataclass(frozen=True)
 class Template:
@@ -80,10 +75,6 @@ class Template:
     @property
     def slots(self) -> tuple[Slot, ...]:
         return tuple(e for e in self.elements if isinstance(e, Slot))
-
-    def render(self) -> str:
-        """Canonical DSL source; parse(render(t)) reproduces t."""
-        return " ".join(e.render() if isinstance(e, Slot) else e for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -263,20 +254,14 @@ def load_templates(path) -> list[Template]:
     return list(templates.values())
 
 
-def save_templates(path, templates: Sequence[Template]) -> None:
-    with atomic_open(path) as fh:
-        for t in templates:
-            fh.write(f"{t.id}\t{t.phenomenon}\t{t.render()}\n")
-
-
 def _lexicon_line(obj: dict) -> tuple[str, LexiconEntry]:
     category, word = obj["category"], obj["word"]
     features, pose_source = obj.get("features", {}), obj.get("pose_source", word)
     if not all(isinstance(v, str) for v in (category, word, pose_source)):
         raise ValueError("category, word and pose_source must be strings")
-    if not isinstance(features, dict):
-        raise ValueError("features must be an object")
-    features = tuple(sorted((k, str(v)) for k, v in features.items()))
+    if not isinstance(features, dict) or not all(isinstance(v, str) for v in features.values()):
+        raise ValueError("features must be an object of strings")
+    features = tuple(sorted(features.items()))
     return category, LexiconEntry(word=word, features=features, pose_source=pose_source)
 
 
@@ -286,20 +271,3 @@ def load_slot_lexicon(path) -> SlotLexicon:
         entries.setdefault(category, []).append(entry)
     return SlotLexicon(entries={cat: tuple(items) for cat, items in entries.items()})
 
-
-def save_slot_lexicon(path, lex: SlotLexicon) -> None:
-    with atomic_open(path) as fh:
-        for category in sorted(lex.entries):
-            for entry in lex.entries[category]:
-                fh.write(
-                    json.dumps(
-                        {
-                            "category": category,
-                            "word": entry.word,
-                            "features": dict(entry.features),
-                            "pose_source": entry.pose_source,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )

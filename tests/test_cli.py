@@ -642,6 +642,8 @@ class TestMalformedJsonLines:
             ({"category": "N", "word": 3}, "category, word and pose_source must be strings"),
             ({"category": "N", "word": "girl", "features": ["num"]},
              "features must be an object"),
+            *(({"category": "N", "word": "girl", "features": {"num": v}},
+               "features must be an object of strings") for v in (None, 1, True)),
         ],
     )
     def test_slot_lexicon_bad_line_cites_line(self, tmp_path, capsys, row, message):
@@ -1292,7 +1294,9 @@ class TestOneCommitPerCommand:
          "h_lengths.csv"),
         (["stitch", "--manifest", "m.jsonl", "--lexicon-dir", "lexicon", "--out-dir", "x",
           "--out-manifest", "x", "--target-mean", "40"], "x"),
-    ], ids=["gen-stats", "stats-hist-csv", "stitch-out-dir"])
+        (["stitch", "--manifest", "m.jsonl", "--lexicon-dir", "lexicon", "--out-dir", "x",
+          "--out-manifest", "x/s0.psp", "--target-mean", "40"], "x/s0.psp"),
+    ], ids=["gen-stats", "stats-hist-csv", "stitch-out-dir", "stitch-pose-file"])
     def test_one_path_for_two_outputs_publishes_nothing(self, tmp_path, monkeypatch, capsys,
                                                         argv, path):
         monkeypatch.chdir(tmp_path)
@@ -1300,6 +1304,7 @@ class TestOneCommitPerCommand:
         write_manifest(tmp_path / "m.jsonl", [
             SentenceRecord(id=f"s{i}", text=("boy", "can", "see")) for i in range(4)
         ])
+        Path(path).parent.mkdir(exist_ok=True)  # the named output's directory exists
         before = workspace_tree(tmp_path)
         assert cli(argv) == 2
         assert capsys.readouterr().err.endswith(

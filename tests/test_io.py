@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signsynth import bpe, cli, curriculum, io, metrics, templates
+from signsynth import bpe, cli, curriculum, io, metrics
 from signsynth.io import (
     DataError,
     atomic_open,
@@ -574,23 +574,11 @@ def _write_schedule(path):
     curriculum.write_schedule_csv(path, 50, curriculum.AnnealSchedule(), 3, 10, 20)
 
 
-def _write_templates(path):
-    templates.save_templates(path, [templates.parse_template("Subj[] V[]", template_id="t1")])
-
-
-def _write_slot_lexicon(path):
-    entry = templates.LexiconEntry(word="cat", features=(("num", "SG"),), pose_source="cat")
-    templates.save_slot_lexicon(path, templates.SlotLexicon(entries={"Subj": (entry,)}))
-
-
 def _write_manifest(path):
     write_manifest(path, [SentenceRecord(id="a", text=("x",))])
 
 
-_WRITERS = [
-    _write_model, _write_encoded, _write_schedule, _write_templates,
-    _write_slot_lexicon, _write_manifest,
-]
+_WRITERS = [_write_model, _write_encoded, _write_schedule, _write_manifest]
 
 
 class TestAtomicWrites:

@@ -81,17 +81,22 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
-# Public names that no caller in the searched files reaches, and why each stays:
-# save_templates and save_slot_lexicon are the write half of the two input
-# formats, tests/test_io.py's atomic-write cases use them, and the chain-level
-# differential tests of ROADMAP item 7 will write their workspaces with them.
-_UNREACHED_ON_PURPOSE = ["templates.save_slot_lexicon", "templates.save_templates"]
+def _public_definitions(body, prefix):
+    """Public functions and classes in ``body``, then the public methods and
+    properties of those classes, as (qualified name, node)."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield f"{prefix}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                members = _public_definitions(node.body, f"{prefix}.{node.name}")
+                yield from (m for m in members if isinstance(m[1], ast.FunctionDef))
 
 
 def test_every_public_name_is_named_outside_its_definition():
     # The callers: the package, the scripts, the benchmark, the acceptance
     # gate and the README.  Unit tests do not count, so that code kept only
-    # for its own tests shows here.
+    # for its own tests shows here, a method or property as well as a
+    # function or class.
     files = [
         *(p for d in ("src", "scripts", "perfbench") for p in sorted((_ROOT / d).rglob("*"))
           if p.suffix in (".py", ".sh", ".md")),
@@ -103,11 +108,9 @@ def test_every_public_name_is_named_outside_its_definition():
     unreached = []
     for module in sorted(Path(signsynth.__file__).parent.glob("*.py")):
         lines = texts[module].splitlines(keepends=True)
-        for node in ast.parse(texts[module]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
+        for qualname, node in _public_definitions(ast.parse(texts[module]).body, module.stem):
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             own = re.findall(r"\w+", "".join(lines[first - 1 : node.end_lineno]))
             if named[node.name] == own.count(node.name):
-                unreached.append(f"{module.stem}.{node.name}")
-    assert sorted(unreached) == _UNREACHED_ON_PURPOSE
+                unreached.append(qualname)
+    assert unreached == []
