@@ -2,11 +2,10 @@
 
 Three stages: fill low-confidence landmarks from the nearest confident frame,
 select the 76 retained keypoints, and flatten to the canonical 152-vector.
-The core takes one (T, 543, 3) array per clip: ``fill_low_confidence`` fills
-all 543 landmarks, ``flatten_video`` selects in one gather, and
-``process_word_video`` (ingest) selects the 76 kept keypoints and fills only
-those.  The frame-list form (``interpolate_low_confidence``,
-``select_and_flatten``) stacks its frames.  All functions are pure.
+Each clip is one (T, 543, 3) array.  ``flatten_video`` is the one keypoint
+gather; ``process_word_video`` (ingest) fills the 76 kept keypoints and
+returns its ``flatten_video``; ``interpolate_low_confidence`` fills all 543
+landmarks of a list of frames.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .pose import FRAME_DIM, SELECTED_LANDMARKS, TOTAL_LANDMARKS, PoseSequence, RawLandmarkFrame
-
-_ALL_LANDMARKS = np.arange(TOTAL_LANDMARKS)
 
 
 @dataclass(frozen=True)
@@ -33,7 +30,14 @@ class InterpolationReport:
 
 
 def _fill(stacked, threshold: float, columns) -> tuple[np.ndarray, InterpolationReport]:
-    """The filled landmark ``columns`` of a (T, 543, 3) clip, as a new (T, K, 3) array."""
+    """A copy of a (T, 543, 3) clip with its low-confidence landmark ``columns`` filled.
+
+    A sub-threshold landmark at frame t takes its (x, y) from the same
+    landmark at the nearest frame with confidence >= ``threshold``;
+    equidistant donors resolve to the earlier frame.  A landmark with no
+    donor anywhere keeps its values and is counted as unresolved.
+    Confidences are never rewritten, so the fill is idempotent.
+    """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if len(stacked) == 0:
@@ -54,39 +58,20 @@ def _fill(stacked, threshold: float, columns) -> tuple[np.ndarray, Interpolation
     # Tie -> earlier frame, i.e. the previous donor.
     donor = np.where(t_index - prev_ok <= next_ok - t_index, prev_ok, next_ok)
 
-    filled = stacked[:, columns]
     t_fill, k_fill = np.nonzero(fill_at[:, columns])
-    filled[t_fill, k_fill, 0:2] = filled[donor[t_fill, k_fill], k_fill, 0:2]
+    g_fill = columns[k_fill]
+    filled = stacked.copy()
+    filled[t_fill, g_fill, 0:2] = stacked[donor[t_fill, k_fill], g_fill, 0:2]
     return filled, report
-
-
-def fill_low_confidence(
-    stacked: np.ndarray, threshold: float
-) -> tuple[np.ndarray, InterpolationReport]:
-    """Replace sub-threshold landmarks with the nearest confident frame's.
-
-    ``stacked`` is a (T, 543, 3) array of (x, y, confidence).  For each
-    landmark position with confidence below ``threshold`` at frame t, its
-    (x, y) is copied from the same landmark at the nearest frame with
-    confidence >= threshold; equidistant left/right donors resolve to the
-    earlier frame.  Positions with no donor anywhere keep their original
-    values and are counted as unresolved.  Confidences are never rewritten,
-    so the operation is idempotent.  The input is not modified.
-    """
-    return _fill(stacked, threshold, _ALL_LANDMARKS)
 
 
 def interpolate_low_confidence(
     frames: Sequence[RawLandmarkFrame], threshold: float
 ) -> tuple[list[RawLandmarkFrame], InterpolationReport]:
-    """``fill_low_confidence`` over a list of frames."""
-    filled, report = fill_low_confidence(np.array([f.stacked() for f in frames]), threshold)
+    """Fill all 543 landmarks of a list of frames; the report counts them all."""
+    filled, report = _fill(np.array([f.stacked() for f in frames]), threshold,
+                           np.arange(TOTAL_LANDMARKS))
     return [RawLandmarkFrame.from_stacked(frame) for frame in filled], report
-
-
-def select_and_flatten(frame: RawLandmarkFrame) -> np.ndarray:
-    """``flatten_video`` of a one-frame clip: its read-only 152-value row."""
-    return flatten_video(frame.stacked()[None]).frames[0]
 
 
 def flatten_video(stacked: np.ndarray, source_id: str = "") -> PoseSequence:
@@ -98,10 +83,8 @@ def flatten_video(stacked: np.ndarray, source_id: str = "") -> PoseSequence:
 def process_word_video(
     stacked: np.ndarray, threshold: float, source_id: str = ""
 ) -> tuple[PoseSequence, InterpolationReport]:
-    """Select the kept keypoints of a (T, 543, 3) clip, fill only those, flatten.
+    """Fill the kept keypoints of a (T, 543, 3) clip, then ``flatten_video`` it.
 
-    Equals ``flatten_video(fill_low_confidence(...)[0])``, with that fill's
-    report over all 543 landmarks; frame count is preserved."""
+    The report counts all 543 landmarks; frame count is preserved."""
     filled, report = _fill(stacked, threshold, SELECTED_LANDMARKS)
-    return PoseSequence(frames=filled[:, :, 0:2].reshape(len(filled), FRAME_DIM),
-                        source_id=source_id), report
+    return flatten_video(filled, source_id), report

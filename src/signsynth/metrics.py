@@ -110,27 +110,6 @@ def _bleu_scores(
     return scores
 
 
-def bleu_corpus(
-    candidates: Sequence[Tokens],
-    references: Sequence[Tokens],
-    max_n: int = 4,
-    smooth: bool = False,
-) -> dict[int, float]:
-    """Corpus BLEU-n for every n in 1..max_n, on the [0, 100] scale: the
-    BLEU of ``eval_pairs`` over the zipped pairs, whose BLEU-n reads only
-    orders up to n."""
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
-        )
-    if not candidates:
-        raise ValueError("empty corpus")
-    if not 1 <= max_n <= _MAX_N:
-        raise ValueError(f"max_n must be in [1, {_MAX_N}], got {max_n}")
-    bleu = eval_pairs(list(zip(candidates, references)), smooth).bleu
-    return {n: bleu[n] for n in range(1, max_n + 1)}
-
-
 def _prf(overlap: float, n_cand: int, n_ref: int) -> tuple[float, float, float]:
     precision = overlap / n_cand if n_cand else 0.0
     recall = overlap / n_ref if n_ref else 0.0

@@ -27,8 +27,8 @@ from signsynth.io import (
     write_manifest,
     write_pose_file,
 )
-from signsynth.keypoints import interpolate_low_confidence, select_and_flatten
-from signsynth.metrics import bleu_corpus, rouge_l
+from signsynth.keypoints import flatten_video, interpolate_low_confidence
+from signsynth.metrics import eval_pairs, rouge_l
 from signsynth.pose import (
     EXCLUDED_BODY,
     FRAME_DIM,
@@ -68,15 +68,13 @@ def test_keypoint_selection():
     excluded = sorted(EXCLUDED_BODY)
     for i in range(1000):
         frame = random_raw_frame(rng)
-        out = select_and_flatten(frame)
+        out = flatten_video(frame.stacked()[None]).frames[0]
         assert out.shape == (152,)
         # Perturb one excluded body landmark; output must not move.
         stacked = np.array(frame.stacked())
         g = excluded[i % len(excluded)]
         stacked[g, 0:2] = rng.random(2)
-        assert np.array_equal(
-            out, select_and_flatten(RawLandmarkFrame.from_stacked(stacked))
-        )
+        assert np.array_equal(out, flatten_video(stacked[None]).frames[0])
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"keypoint selection took {elapsed:.2f}s"
     _pass("keypoint selection")
@@ -329,14 +327,14 @@ def test_metrics():
     """BLEU-4 = 100 on identical corpora, p1 = 2/7 clipping, LCS recall 3/4,
     permutation invariance; all against pre-built brute-force oracles."""
     corpus = [["the", "cat", "sat", "on", "the", "mat"], ["a", "dog", "ran", "far", "away"]]
-    scores = bleu_corpus(corpus, corpus)
+    scores = eval_pairs(list(zip(corpus, corpus))).bleu
     assert scores[4] == pytest.approx(100.0)
 
     candidate = ["the"] * 7
     reference = ["the", "cat", "is", "on", "the", "mat"]
     matches, total = oracles.clipped_precision_counts([candidate], [reference], 1)
     assert (matches, total) == (2, 7)
-    assert bleu_corpus([candidate], [reference], max_n=1)[1] == pytest.approx(200 / 7)
+    assert eval_pairs([(candidate, reference)]).bleu[1] == pytest.approx(200 / 7)
 
     p, r, f = rouge_l(["a", "b", "c", "d"], ["a", "c", "d", "b"])
     assert r == pytest.approx(3 / 4)
@@ -351,8 +349,8 @@ def test_metrics():
     ]
     shuffled = list(pairs)
     rng.shuffle(shuffled)
-    direct = bleu_corpus([c for c, _ in pairs], [r for _, r in pairs])
-    permuted = bleu_corpus([c for c, _ in shuffled], [r for _, r in shuffled])
+    direct = eval_pairs(pairs).bleu
+    permuted = eval_pairs(shuffled).bleu
     for n in range(1, 5):
         assert direct[n] == pytest.approx(permuted[n])
         assert direct[n] == pytest.approx(

@@ -194,6 +194,25 @@ class TestIngestAndStitch:
         assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "lex")]) == 0
         assert len(read_pose_file(tmp_path / "lex" / "w.psp")) == 5
 
+    def test_ingest_gathers_through_flatten_video(self, tmp_path, rng, monkeypatch):
+        # The acceptance gate checks keypoints.flatten_video, so ingest must
+        # gather each clip's keypoints through it.
+        raw_dir = tmp_path / "raw"
+        raw_dir.mkdir()
+        for word in ("a", "b", "c"):
+            write_raw_landmark_file(raw_dir / f"{word}.jsonl",
+                                    [random_raw_frame(rng) for _ in range(4)])
+        gathered = []
+        flatten_video = keypoints.flatten_video
+
+        def counted(stacked, source_id=""):
+            gathered.append(source_id)
+            return flatten_video(stacked, source_id)
+
+        monkeypatch.setattr(keypoints, "flatten_video", counted)
+        assert cli(["ingest", "--raw-dir", str(raw_dir), "--out-dir", str(tmp_path / "lex")]) == 0
+        assert sorted(gathered) == ["a", "b", "c"]
+
     def test_jobs_byte_identical(self, tmp_path):
         lex_dir = build_lexicon_dir(tmp_path)
         manifest = tmp_path / "sentences.jsonl"

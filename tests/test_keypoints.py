@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from signsynth.keypoints import (
     InterpolationReport,
-    fill_low_confidence,
     flatten_video,
     interpolate_low_confidence,
     process_word_video,
-    select_and_flatten,
 )
 from signsynth.pose import (
     EXCLUDED_BODY,
@@ -32,6 +30,24 @@ def frame_with_conf(rng, conf_by_landmark: dict[int, float]) -> RawLandmarkFrame
     for g, c in conf_by_landmark.items():
         stacked[g, 2] = c
     return RawLandmarkFrame.from_stacked(stacked)
+
+
+def frame_row(frame: RawLandmarkFrame) -> np.ndarray:
+    """``flatten_video`` of a one-frame clip: the frame's 152-value row."""
+    return flatten_video(frame.stacked()[None]).frames[0]
+
+
+def stack(frames) -> np.ndarray:
+    return np.stack([f.stacked() for f in frames])
+
+
+def oracle_fill(stacked: np.ndarray, threshold: float):
+    """``oracles.nearest_donor_fill`` of a (T, 543, 3) array, with the number
+    of frames whose values it changed."""
+    raw = [[tuple(pt) for pt in frame] for frame in stacked.tolist()]
+    expected, n_filled, unresolved = oracles.nearest_donor_fill(raw, threshold)
+    touched = sum(want != got for want, got in zip(expected, raw))
+    return expected, InterpolationReport(touched, n_filled, unresolved)
 
 
 class TestInterpolate:
@@ -104,7 +120,7 @@ class TestInterpolate:
 
 class TestSelectAndFlatten:
     def test_output_length(self, rng):
-        out = select_and_flatten(random_raw_frame(rng))
+        out = frame_row(random_raw_frame(rng))
         assert out.shape == (FRAME_DIM,) and out.dtype == np.float32
         assert not out.flags.writeable
 
@@ -112,7 +128,7 @@ class TestSelectAndFlatten:
         # Landmark g carries (g/1000, g/1000): the flattened vector must be
         # exactly the oracle's explicit index lookup, starting at body 0.
         frame = indexed_raw_frame()
-        got = select_and_flatten(frame)
+        got = frame_row(frame)
         want = oracles.selection_index_map(
             frame.stacked().tolist(), SELECTED_BODY_INDICES, SELECTED_FACE_INDICES
         )
@@ -127,7 +143,7 @@ class TestSelectAndFlatten:
         stacked[26, 0:2] = 0.123  # body 26 (right knee) is excluded
         modified = RawLandmarkFrame.from_stacked(stacked)
         assert np.array_equal(
-            select_and_flatten(base), select_and_flatten(modified)
+            frame_row(base), frame_row(modified)
         )
 
     @given(st.integers(0, 2**32 - 1))
@@ -140,12 +156,8 @@ class TestSelectAndFlatten:
         for g in EXCLUDED_BODY:
             stacked[g, 0:2] = sentinel
         frame = RawLandmarkFrame.from_stacked(stacked)
-        out = select_and_flatten(frame)
+        out = frame_row(frame)
         assert not np.any(np.isclose(out, sentinel))
-
-
-def stack(frames) -> np.ndarray:
-    return np.stack([f.stacked() for f in frames])
 
 
 class TestArrayCore:
@@ -157,13 +169,12 @@ class TestArrayCore:
         # Whole landmark columns with no confident frame, so some stay unresolved.
         stacked[:, rng.integers(0, 543, 5), 2] = 0.0
         before = stacked.copy()
-        filled, report = fill_low_confidence(stacked, threshold)
-        expected, n_filled, unresolved = oracles.nearest_donor_fill(
-            [[tuple(pt) for pt in frame] for frame in stacked.tolist()], threshold
+        out, report = interpolate_low_confidence(
+            [RawLandmarkFrame.from_stacked(frame) for frame in stacked], threshold
         )
-        assert np.array_equal(filled, np.array(expected, dtype=np.float32))
-        assert report.keypoints_filled == n_filled
-        assert report.unresolved == unresolved
+        expected, want_report = oracle_fill(stacked, threshold)
+        assert np.array_equal(stack(out), np.array(expected, dtype=np.float32))
+        assert report == want_report
         assert np.array_equal(stacked, before)  # the input is not modified
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
@@ -192,7 +203,7 @@ class TestProcessWordVideo:
     @settings(max_examples=40, deadline=None)
     def test_equals_composition(self, seed, n, threshold):
         # Filling only the kept keypoints gives the frames and the report of
-        # filling all 543 landmarks and then selecting.
+        # the oracles' fill of all 543 landmarks and then their selection.
         rng = np.random.default_rng(seed)
         stacked = rng.random((n, 543, 3)).astype(np.float32)
         # Donorless columns, some of them among the kept keypoints.
@@ -200,8 +211,10 @@ class TestProcessWordVideo:
         stacked[:, donorless, 2] = 0.0
         before = stacked.copy()
         seq, report = process_word_video(stacked, threshold)
-        filled, want_report = fill_low_confidence(stacked, threshold)
-        assert np.array_equal(seq.frames, flatten_video(filled).frames)
+        expected, want_report = oracle_fill(stacked, threshold)
+        want = [oracles.selection_index_map(frame, SELECTED_BODY_INDICES, SELECTED_FACE_INDICES)
+                for frame in expected]
+        assert np.array_equal(seq.frames, np.array(want, dtype=np.float32))
         assert report == want_report
         assert np.array_equal(stacked, before)  # the input is not modified
 

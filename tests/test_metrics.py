@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from signsynth.metrics import (
     EvalReport,
-    bleu_corpus,
     eval_pairs,
     rouge_l,
     tokenize_for_metrics,
@@ -35,7 +34,7 @@ class TestBleu:
     def test_identical_is_100(self):
         # Pad sentences so every order 1..4 has at least one n-gram.
         corpus = [s * 2 + ["the", "cat", "sat", "on"] for s, _ in random_corpus(1)]
-        scores = bleu_corpus(corpus, corpus, max_n=4)
+        scores = eval_pairs(list(zip(corpus, corpus))).bleu
         assert all(scores[n] == pytest.approx(100.0) for n in range(1, 5))
 
     def test_clipping_example(self):
@@ -44,19 +43,17 @@ class TestBleu:
         reference = ["the", "cat", "is", "on", "the", "mat"]
         matches, total = oracles.clipped_precision_counts([candidate], [reference], 1)
         assert (matches, total) == (2, 7)
-        scores = bleu_corpus([candidate], [reference], max_n=1)
+        scores = eval_pairs([(candidate, reference)]).bleu
         bp = 1.0  # c=7 >= r=6
         assert scores[1] == pytest.approx(bp * (2 / 7) * 100)
 
     def test_brevity_boundary(self):
         # Equal corpus lengths: BP = 1, so BLEU-1 equals raw precision.
-        candidate = [["the", "cat"]]
-        reference = [["the", "dog"]]
-        scores = bleu_corpus(candidate, reference, max_n=1)
+        scores = eval_pairs([(["the", "cat"], ["the", "dog"])]).bleu
         assert scores[1] == pytest.approx(50.0)
 
     def test_zero_precision_zeroes_score(self):
-        scores = bleu_corpus([["aa", "bb"]], [["cc", "dd"]], max_n=4)
+        scores = eval_pairs([(["aa", "bb"], ["cc", "dd"])]).bleu
         assert scores == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
     def test_matches_reference_implementation(self):
@@ -64,7 +61,7 @@ class TestBleu:
             pairs = random_corpus(seed)
             cands = [c for c, _ in pairs]
             refs = [r for _, r in pairs]
-            got = bleu_corpus(cands, refs, max_n=4)
+            got = eval_pairs(pairs).bleu
             want = oracles.bleu_corpus_reference(cands, refs, max_n=4)
             for n in range(1, 5):
                 assert got[n] == pytest.approx(want[n], abs=1e-9)
@@ -73,8 +70,8 @@ class TestBleu:
         pairs = random_corpus(7, n_pairs=10)
         shuffled = list(pairs)
         random.Random(3).shuffle(shuffled)
-        a = bleu_corpus([c for c, _ in pairs], [r for _, r in pairs])
-        b = bleu_corpus([c for c, _ in shuffled], [r for _, r in shuffled])
+        a = eval_pairs(pairs).bleu
+        b = eval_pairs(shuffled).bleu
         for n in range(1, 5):
             assert a[n] == pytest.approx(b[n])
 
@@ -88,27 +85,20 @@ class TestBleu:
                 m, t = oracles.clipped_precision_counts(cands, refs, n)
                 precisions.append(m / t if t else 0.0)
             if all(precisions[i + 1] <= precisions[i] for i in range(3)):
-                scores = bleu_corpus(cands, refs)
+                scores = eval_pairs(pairs).bleu
                 assert all(scores[n + 1] <= scores[n] + 1e-9 for n in range(1, 4))
 
     def test_range_bounds(self):
         for seed in range(20):
             pairs = random_corpus(seed)
-            scores = bleu_corpus([c for c, _ in pairs], [r for _, r in pairs])
+            scores = eval_pairs(pairs).bleu
             assert all(0.0 <= s <= 100.0 for s in scores.values())
 
     def test_smoothing_profile(self):
         # Disjoint vocab: unsmoothed BLEU is 0, smoothed is small but positive.
-        cand = [["aa", "bb", "cc", "dd"]]
-        ref = [["ee", "ff", "gg", "hh"]]
-        assert bleu_corpus(cand, ref, smooth=False)[4] == 0.0
-        assert bleu_corpus(cand, ref, smooth=True)[4] > 0.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            bleu_corpus([["a"]], [["a"], ["b"]])
-        with pytest.raises(ValueError, match="empty"):
-            bleu_corpus([], [])
+        pairs = [(["aa", "bb", "cc", "dd"], ["ee", "ff", "gg", "hh"])]
+        assert eval_pairs(pairs, smooth=False).bleu[4] == 0.0
+        assert eval_pairs(pairs, smooth=True).bleu[4] > 0.0
 
 
 def rouge1(candidate, reference):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from signsynth import keypoints
-from signsynth.keypoints import flatten_video, process_word_video, select_and_flatten
+from signsynth.keypoints import flatten_video, process_word_video
 from signsynth.pose import (
     BODY_LANDMARKS,
     EXCLUDED_BODY,
@@ -165,10 +165,8 @@ class TestKeypointSelection:
     ], ids=["body", "face"])
     def test_takes_no_arguments(self, rng, kwargs):
         # A pose file does not record its selection, so none can be chosen.
-        frame = random_raw_frame(rng)
-        stacked = frame.stacked()[None]
-        calls = [(select_and_flatten, (frame,)), (flatten_video, (stacked,)),
-                 (process_word_video, (stacked, 0.8))]
+        stacked = random_raw_frame(rng).stacked()[None]
+        calls = [(flatten_video, (stacked,)), (process_word_video, (stacked, 0.8))]
         for fn, args in calls:
             assert "sel" not in inspect.signature(fn).parameters
             with pytest.raises(TypeError):
