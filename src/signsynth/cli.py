@@ -189,10 +189,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stitch(args) -> int:
-    records = io.read_manifest(args.manifest)
-    lex = io.load_sign_lexicon(args.lexicon_dir)
     cfg = stitch.StitchConfig(args.word_order, jitter_strides=args.jitter,
                               crossfade_frames=args.crossfade_frames, seed=args.seed)
+    records = io.read_manifest(args.manifest)
+    lex = io.load_sign_lexicon(args.lexicon_dir)
 
     with io.pose_set(args.out_dir) as write_pose:
         try:

@@ -1196,6 +1196,22 @@ class TestSmallerFixes:
         assert "argument --jitter: invalid comma-separated int value: '1,x'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--jitter", "4"], "jitter_strides must be a non-empty subset of {1, 2, 3}"),
+        (["--crossfade", "-1"], "crossfade_frames must be >= 0, got -1"),
+    ], ids=["jitter", "crossfade"])
+    def test_stitch_settings_checked_before_inputs(self, tmp_path, capsys, flag, message):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [SentenceRecord(id="s1", text=("boy",))])
+        before = workspace_tree(tmp_path)
+        assert cli([
+            "stitch", "--manifest", str(manifest), "--lexicon-dir", str(tmp_path / "missing"),
+            "--out-dir", str(tmp_path / "out"), "--out-manifest", str(tmp_path / "out.jsonl"),
+            "--target-mean", "30", *flag,
+        ]) == 2
+        assert capsys.readouterr().err == f"signsynth: data error: {message}\n"
+        assert workspace_tree(tmp_path) == before
+
     @pytest.mark.parametrize("header", [
         b"[1]",
         b"",
