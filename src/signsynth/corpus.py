@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .pose import SentenceRecord
+from .seeds import derive_seed
 
 PERSON_TOKEN = "<PERSON>"
 UNKNOWN_TOKEN = "<UNKNOWN>"
@@ -103,7 +104,7 @@ def merge_short(
         i for i, record in enumerate(sentences) if len(record.text) < policy.max_len
     ]
     n_selected = int(policy.fraction * len(candidate_positions))
-    rng = random.Random(seed)
+    rng = random.Random(derive_seed(seed, "merge"))
     selected = set(rng.sample(candidate_positions, n_selected))
 
     out: list[SentenceRecord] = []

@@ -126,6 +126,21 @@ class TestCorpusCommands:
         assert sum(1 for r in records if len(r.text) == 6) == 3
         assert sum(1 for r in records if len(r.text) == 2) == 1
 
+    def test_merge_seed_sign_gives_another_draw(self, tmp_path):
+        # merge derives its draw from the seed as every other stage does;
+        # random.Random(seed) alone seeds from abs(seed).
+        manifest = tmp_path / "in.jsonl"
+        write_manifest(manifest, [SentenceRecord(id=f"s{i}", text=("a", "b")) for i in range(30)])
+        merged = {}
+        for seed in ("5", "-5"):
+            out = tmp_path / f"merged{seed}.jsonl"
+            assert cli([
+                "--seed", seed,
+                "merge", "--in", str(manifest), "--fraction", "0.5", "--out", str(out),
+            ]) == 0
+            merged[seed] = out.read_bytes()
+        assert merged["5"] != merged["-5"]
+
     def test_postprocess(self, tmp_path):
         manifest = tmp_path / "in.jsonl"
         write_manifest(

@@ -12,7 +12,9 @@ ingest became one ``(T, 543, 3)`` array from parse to ``.psp``.
 CHAIN_SHA256 covers the rest of the chain (gen --stats, filter, merge,
 postprocess, sample, tokenize, eval, stats --hist-csv).  It was recorded
 before the file writers were rewritten to stream through ``atomic_open`` and
-before the CLI took its defaults and word lists from the library.
+before the CLI took its defaults and word lists from the library.  It was
+re-recorded once, when ``merge`` began to draw from ``derive_seed(seed,
+"merge")`` instead of ``random.Random(seed)``, which seeds from ``abs(seed)``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from signsynth.templates import load_slot_lexicon
 
 GOLDEN_SHA256 = "2ecc8bb42b3c6e13e8de3028b7ce1f32685277574e4af8df642356f7a88d724a"
 INGEST_SHA256 = "0c0527c5ec674b43bf6c2e73c22c720dc2575831c997ba0aa742a1d7ff8f45ec"
-CHAIN_SHA256 = "f02eb45a5ff2c038766e7fccfa1f9505b4f54b7c9293636b21b8187c17fd12da"
+CHAIN_SHA256 = "0d7c766d1b6904aee76e70fb9198097ddbc70ea87781f698ac62529697e7cd2e"
 
 
 def _tree_digest(out_dir: Path, manifest: Path | None = None) -> str:
