@@ -127,8 +127,8 @@ class TestCorpusCommands:
         assert sum(1 for r in records if len(r.text) == 2) == 1
 
     def test_merge_seed_sign_gives_another_draw(self, tmp_path):
-        # merge derives its draw from the seed as every other stage does;
-        # random.Random(seed) alone seeds from abs(seed).
+        # random.Random(seed) seeds from abs(seed), so merge must derive its
+        # draw from the seed as every other stage does.
         manifest = tmp_path / "in.jsonl"
         write_manifest(manifest, [SentenceRecord(id=f"s{i}", text=("a", "b")) for i in range(30)])
         merged = {}

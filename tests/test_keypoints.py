@@ -32,11 +32,6 @@ def frame_with_conf(rng, conf_by_landmark: dict[int, float]) -> RawLandmarkFrame
     return RawLandmarkFrame.from_stacked(stacked)
 
 
-def frame_row(frame: RawLandmarkFrame) -> np.ndarray:
-    """``flatten_video`` of a one-frame clip: the frame's 152-value row."""
-    return flatten_video(frame.stacked()[None]).frames[0]
-
-
 def stack(frames) -> np.ndarray:
     return np.stack([f.stacked() for f in frames])
 
@@ -119,8 +114,11 @@ class TestInterpolate:
 
 
 class TestSelectAndFlatten:
+    """A frame's 152-value row is the first row of its one-frame clip's
+    ``flatten_video``."""
+
     def test_output_length(self, rng):
-        out = frame_row(random_raw_frame(rng))
+        out = flatten_video(random_raw_frame(rng).stacked()[None]).frames[0]
         assert out.shape == (FRAME_DIM,) and out.dtype == np.float32
         assert not out.flags.writeable
 
@@ -128,7 +126,7 @@ class TestSelectAndFlatten:
         # Landmark g carries (g/1000, g/1000): the flattened vector must be
         # exactly the oracle's explicit index lookup, starting at body 0.
         frame = indexed_raw_frame()
-        got = frame_row(frame)
+        got = flatten_video(frame.stacked()[None]).frames[0]
         want = oracles.selection_index_map(
             frame.stacked().tolist(), SELECTED_BODY_INDICES, SELECTED_FACE_INDICES
         )
@@ -138,13 +136,11 @@ class TestSelectAndFlatten:
         assert got[0] == np.float32(0.0)  # body index 0 is retained and first
 
     def test_excluded_landmark_is_ignored(self, rng):
-        base = random_raw_frame(rng)
-        stacked = np.array(base.stacked())
-        stacked[26, 0:2] = 0.123  # body 26 (right knee) is excluded
-        modified = RawLandmarkFrame.from_stacked(stacked)
-        assert np.array_equal(
-            frame_row(base), frame_row(modified)
-        )
+        base = random_raw_frame(rng).stacked()
+        modified = np.array(base)
+        modified[26, 0:2] = 0.123  # body 26 (right knee) is excluded
+        assert np.array_equal(flatten_video(base[None]).frames,
+                              flatten_video(modified[None]).frames)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -156,7 +152,7 @@ class TestSelectAndFlatten:
         for g in EXCLUDED_BODY:
             stacked[g, 0:2] = sentinel
         frame = RawLandmarkFrame.from_stacked(stacked)
-        out = frame_row(frame)
+        out = flatten_video(frame.stacked()[None]).frames[0]
         assert not np.any(np.isclose(out, sentinel))
 
 
