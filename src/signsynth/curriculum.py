@@ -4,29 +4,27 @@ Training starts fully on synthetic data and linearly raises the probability
 of drawing a real sample to a cap (default 0.85 at 60k steps), staying flat
 afterwards.  Each step's draw is seeded from (seed, step) rather than one
 advancing stream, so training can resume at any step and replay the exact
-same mixture, and data-loader workers need no shared RNG state.
+same mixture, and data-loader workers need no shared RNG state.  A step's
+source is read straight from its derived seed, ``derive_seed(seed, step)``:
+it draws real data exactly when the seed's top 53 bits, as a fraction of
+2**53, fall below the step's real fraction.  Its item index comes from a
+second seed, ``derive_seed(seed, step, "item")``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .io import atomic_open
-from .seeds import derive_seed, derive_seeds, first_randoms
+from .seeds import derive_seed, derive_seeds
 
 REAL = "real"
 SYNTHETIC = "synthetic"
 
-# Steps drawn together by write_schedule_csv.  The fixed cost of each numpy
-# call in the seeding kernel dominates small blocks; cache effects do not show.
-# For the 60k steps of the paper's ramp (2-vCPU VM, numpy 2.4), first_randoms
-# took 0.20 s at 4096 and 0.13-0.15 s at 16384.  65536 (one block) took 0.10 s,
-# but its arrays added 3.7 MB of peak RSS against 1 MB at 16384: near the
-# benchmark's 10% peak_rss_mb bound on a 42 MB chain.
+# Steps whose seeds write_schedule_csv holds at once; it bounds memory only.
 _BLOCK = 16384
 
 
@@ -64,17 +62,24 @@ def real_fraction(step: int, sched: AnnealSchedule) -> float:
     return sched.max_real_fraction * min(1.0, step / sched.ramp_steps)
 
 
+def _is_real(key, frac):
+    """Whether a step with derived seed ``key`` and real fraction ``frac`` draws
+    real data: the top 53 bits of ``key``, as a fraction of 2**53, are below
+    ``frac``.  Exact in float64 for a Python int and for a uint64 array alike."""
+    return (key >> 11) * 2.0**-53 < frac
+
+
 def draw(
     step: int, sched: AnnealSchedule, seed: int, real_size: int, synth_size: int
 ) -> MixtureDraw:
     """One seeded mixture draw: pick a source, then an item uniformly within it."""
     if real_size < 1 or synth_size < 1:
         raise ValueError("dataset sizes must be >= 1")
-    rng = random.Random(derive_seed(seed, step))
-    u = rng.random()
-    if u < real_fraction(step, sched):
-        return MixtureDraw(step=step, source=REAL, item_index=rng.randrange(real_size))
-    return MixtureDraw(step=step, source=SYNTHETIC, item_index=rng.randrange(synth_size))
+    real = _is_real(derive_seed(seed, step), real_fraction(step, sched))
+    item_index = random.Random(derive_seed(seed, step, "item")).randrange(
+        real_size if real else synth_size
+    )
+    return MixtureDraw(step=step, source=REAL if real else SYNTHETIC, item_index=item_index)
 
 
 def write_schedule_csv(
@@ -82,9 +87,9 @@ def write_schedule_csv(
 ) -> None:
     """Export the mixture schedule as 'step,real_fraction,source' rows.
 
-    Row ``step`` carries the source of ``draw(step, ...)``.  Only the first
-    ``random()`` of a step's generator picks the source, and the item index
-    is not exported, so the rows are computed a block of steps at a time.
+    Row ``step`` carries the source of ``draw(step, ...)``.  The item index is
+    not exported, so a block of steps needs only its seeds, one
+    ``derive_seeds`` call.
     """
     with atomic_open(path) as fh:
         fh.write("step,real_fraction,source\r\n")
@@ -92,12 +97,9 @@ def write_schedule_csv(
             raise ValueError("dataset sizes must be >= 1")
         for start in range(0, total_steps, _BLOCK):
             steps = range(start, min(start + _BLOCK, total_steps))
-            fh.writelines(_csv_rows(steps, first_randoms(derive_seeds(seed, steps)), sched))
-
-
-def _csv_rows(steps: range, firsts: np.ndarray, sched: AnnealSchedule) -> Iterator[str]:
-    """The CSV row of each step, from the first ``random()`` of its generator;
-    a generator, so a block's rows are never all held at once."""
-    for step, u in zip(steps, firsts.tolist()):
-        frac = real_fraction(step, sched)
-        yield f"{step},{frac:.6f},{REAL if u < frac else SYNTHETIC}\r\n"
+            fracs = [real_fraction(step, sched) for step in steps]
+            real = _is_real(derive_seeds(seed, steps), np.array(fracs)).tolist()
+            fh.writelines(
+                f"{step},{frac:.6f},{REAL if r else SYNTHETIC}\r\n"
+                for step, frac, r in zip(steps, fracs, real)
+            )

@@ -17,6 +17,7 @@ from signsynth.curriculum import (
     real_fraction,
     write_schedule_csv,
 )
+from signsynth.seeds import derive_seed
 
 SCHED = AnnealSchedule()
 
@@ -123,6 +124,16 @@ schedules = st.builds(
     max_real_fraction=st.floats(0.0, 1.0),
     ramp_steps=st.one_of(st.integers(1, 10_000), st.integers(1, 2**70)),
 )
+
+
+class TestSourceRule:
+    @given(sched=schedules, seed=st.integers(-(2**70), 2**70), step=st.integers(0, 2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_real_exactly_below_the_seeds_top_53_bits(self, sched, seed, step):
+        # The rule the module docstring states, in exact integer division.
+        u = (derive_seed(seed, step) >> 11) / 2**53
+        want = REAL if u < real_fraction(step, sched) else SYNTHETIC
+        assert draw(step, sched, seed, 3, 4).source == want
 
 
 # Step counts at the edges of a block, and around 4096 steps, which fall inside

@@ -13,8 +13,12 @@ CHAIN_SHA256 covers the rest of the chain (gen --stats, filter, merge,
 postprocess, sample, tokenize, eval, stats --hist-csv).  It was recorded
 before the file writers were rewritten to stream through ``atomic_open`` and
 before the CLI took its defaults and word lists from the library.  It was
-re-recorded once, when ``merge`` began to draw from ``derive_seed(seed,
-"merge")`` instead of ``random.Random(seed)``, which seeds from ``abs(seed)``.
+re-recorded twice, each time for one artifact:
+- when ``merge`` began to draw from ``derive_seed(seed, "merge")`` instead
+  of ``random.Random(seed)``, which seeds from ``abs(seed)``;
+- when the curriculum began to read each step's source from the top 53 bits
+  of ``derive_seed(seed, step)`` instead of the first ``random()`` of a
+  ``random.Random`` seeded with it, which changed only ``schedule.csv``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from signsynth.templates import load_slot_lexicon
 
 GOLDEN_SHA256 = "2ecc8bb42b3c6e13e8de3028b7ce1f32685277574e4af8df642356f7a88d724a"
 INGEST_SHA256 = "0c0527c5ec674b43bf6c2e73c22c720dc2575831c997ba0aa742a1d7ff8f45ec"
-CHAIN_SHA256 = "0d7c766d1b6904aee76e70fb9198097ddbc70ea87781f698ac62529697e7cd2e"
+CHAIN_SHA256 = "d2616a9b3f97489ffa983b5217f67f2f1966535d9bffb28dda1317b56294a0a4"
 
 
 def _tree_digest(out_dir: Path, manifest: Path | None = None) -> str:
