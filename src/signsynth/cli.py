@@ -130,6 +130,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    corpus.check_min_rate(args.min_rate)
     vocab = io.read_word_list(args.vocab)
     sentences = (io.read_text_corpus if args.text else io.read_manifest)(args.input)
     kept = list(corpus.filter_corpus(sentences, vocab, args.min_rate))
@@ -139,8 +140,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    sentences = io.read_manifest(args.input)
     policy = corpus.MergePolicy(max_len=args.max_len, fraction=args.fraction, group=args.group)
+    sentences = io.read_manifest(args.input)
     merged = corpus.merge_short(sentences, policy, seed=args.seed)
     io.write_manifest(args.out, merged)
     stats = corpus.length_stats(merged)
@@ -152,6 +153,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_postprocess(args) -> int:
+    corpus.check_min_freq(args.min_freq)
     sentences = io.read_manifest(args.input)
     names = io.read_word_list(args.names) if args.names else set()
     extra = []
@@ -166,6 +168,7 @@ def _cmd_postprocess(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    keypoints.check_threshold(args.threshold)
     raw_dir = Path(args.raw_dir)
     paths = io.files_by_word(raw_dir, ".jsonl")
     if not paths:
@@ -191,6 +194,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_stitch(args) -> int:
     cfg = stitch.StitchConfig(args.word_order, jitter_strides=args.jitter,
                               crossfade_frames=args.crossfade_frames, seed=args.seed)
+    stitch.check_mean_frames(args.target_mean_frames)
     records = io.read_manifest(args.manifest)
     lex = io.load_sign_lexicon(args.lexicon_dir)
 

@@ -69,6 +69,12 @@ def match_rate(sentence: Sequence[str], vocab: "set[str] | frozenset[str]") -> f
     return sum(1 for tok in sentence if tok.lower() in vocab) / len(sentence)
 
 
+def check_min_rate(min_rate: float) -> None:
+    """``filter_corpus``'s rule for its match-rate cut."""
+    if not 0.0 <= min_rate <= 1.0:
+        raise ValueError(f"min_rate must be in [0, 1], got {min_rate}")
+
+
 def filter_corpus(
     sentences: Iterable[SentenceRecord], vocab: Iterable[str], min_rate: float
 ) -> Iterator[SentenceRecord]:
@@ -77,8 +83,7 @@ def filter_corpus(
     The inequality is strict: a sentence matching exactly min_rate is
     dropped.  Survivors are retagged phenomenon="corpus".
     """
-    if not 0.0 <= min_rate <= 1.0:
-        raise ValueError(f"min_rate must be in [0, 1], got {min_rate}")
+    check_min_rate(min_rate)
     folded = {w.lower() for w in vocab}
     for record in sentences:
         if match_rate(record.text, folded) > min_rate:
@@ -129,6 +134,12 @@ def merge_short(
     return out
 
 
+def check_min_freq(min_freq: int) -> None:
+    """``replace_rare_and_names``'s rule for its frequency cut."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+
+
 def replace_rare_and_names(
     sentences: Sequence[SentenceRecord],
     name_list: Iterable[str],
@@ -142,8 +153,7 @@ def replace_rare_and_names(
     is replaced when its pre-substitution frequency is below min_freq.  Name
     replacement wins over the frequency rule.  Sentence lengths never change.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+    check_min_freq(min_freq)
     names = {n.lower() for n in name_list}
     freq: Counter = Counter()
     for record in sentences:

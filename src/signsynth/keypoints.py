@@ -29,6 +29,12 @@ class InterpolationReport:
     unresolved: int = 0
 
 
+def check_threshold(threshold: float) -> None:
+    """The confidence fill's rule for its threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def _fill(stacked, threshold: float, columns) -> tuple[np.ndarray, InterpolationReport]:
     """A copy of a (T, 543, 3) clip with its low-confidence landmark ``columns`` filled.
 
@@ -38,8 +44,7 @@ def _fill(stacked, threshold: float, columns) -> tuple[np.ndarray, Interpolation
     donor anywhere keeps its values and is counted as unresolved.
     Confidences are never rewritten, so the fill is idempotent.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_threshold(threshold)
     if len(stacked) == 0:
         raise ValueError("empty input")
 

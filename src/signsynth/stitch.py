@@ -77,14 +77,20 @@ class StitchResult:
     applied_stride: int
 
 
+def check_mean_frames(mean_frames: float) -> None:
+    """A mean frame count, synthetic or target, must be finite and positive."""
+    if not 0 < mean_frames < np.inf:
+        raise ValueError("mean frame counts must be finite and positive")
+
+
 def compute_sampling_rate(mean_synth_frames: float, mean_target_frames: float) -> int:
     """Stride that matches the synthetic mean frame count to the target's.
 
-    round-half-to-even on the ratio, floored at 1; both means must be finite
-    and positive.
+    round-half-to-even on the ratio, floored at 1; both means pass
+    ``check_mean_frames``.
     """
-    if not (0 < mean_synth_frames < np.inf and 0 < mean_target_frames < np.inf):
-        raise ValueError("mean frame counts must be finite and positive")
+    check_mean_frames(mean_synth_frames)
+    check_mean_frames(mean_target_frames)
     return max(1, round(mean_synth_frames / mean_target_frames))
 
 

@@ -1227,6 +1227,31 @@ class TestSmallerFixes:
         assert capsys.readouterr().err == f"signsynth: data error: {message}\n"
         assert workspace_tree(tmp_path) == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (["merge", "--in", "missing.jsonl", "--out", "out.jsonl", "--group", "1"],
+         "group must be >= 2, got 1"),
+        (["filter", "--in", "missing.txt", "--text", "--vocab", "missing_vocab.txt",
+          "--out", "out.jsonl", "--min-rate", "2"],
+         "min_rate must be in [0, 1], got 2.0"),
+        (["postprocess", "--in", "missing.jsonl", "--out", "out.jsonl", "--min-freq", "0"],
+         "min_freq must be >= 1, got 0"),
+        (["ingest", "--raw-dir", "missing", "--out-dir", "out", "--threshold", "2"],
+         "threshold must be in [0, 1], got 2.0"),
+        (["stitch", "--manifest", "missing.jsonl", "--lexicon-dir", "missing",
+          "--out-dir", "out", "--out-manifest", "out.jsonl", "--target-mean", "0"],
+         "mean frame counts must be finite and positive"),
+    ], ids=["merge-group", "filter-min-rate", "postprocess-min-freq", "ingest-threshold",
+            "stitch-target-mean"])
+    def test_setting_checked_before_the_first_input(self, tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+        # Each input is missing, so a run that read one first would report it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept.txt").write_text("x\n")
+        before = workspace_tree(tmp_path)
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == f"signsynth: data error: {message}\n"
+        assert workspace_tree(tmp_path) == before
+
     @pytest.mark.parametrize("header", [
         b"[1]",
         b"",
