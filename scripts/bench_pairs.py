@@ -3,7 +3,8 @@
 
 Usage:
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S [--seed K]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...] \
+        --pairs N --seconds S [--seed K]
 
 Both checkouts are byte-compiled first (``python3 -m compileall src``),
 and each builds the workload's inputs for the seed into its own
@@ -21,7 +22,9 @@ the two artifact digests agree, then, for every end-to-end metric that
 pairs the change wins, whether it is a clear gain, and whether it regressed
 beyond the metric's ``bound`` (``regression``).  The last line is the
 summary as one JSON object, with the number of pairs whose digests agree as
-``digests_equal``.
+``digests_equal``.  Given ``--workload`` more than once, the script builds
+every workload's inputs first, then runs each workload's pairs and prints
+its lines in turn, in the order given.
 Only the standard library is used.
 """
 
@@ -117,28 +120,14 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> tuple
     return {name: entry["value"] for name, entry in result["metrics"].items()}, digest
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    for tree in (args.parent, args.change):
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
-        build_inputs(tree, args.workload, args.seed)
-
+def run_pairs(args, workload: str, metrics: list[dict]) -> None:
+    """Run ``args.pairs`` alternating pairs of ``workload`` and print each
+    pair, each metric's verdict and the summary line."""
     runs: list[tuple[dict, dict]] = []
     digests_equal = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_benchmark(getattr(args, side), args.workload, args.seed, args.seconds)
+        got = {side: run_benchmark(getattr(args, side), workload, args.seed, args.seconds)
                for side in order}
         (parent, parent_digest), (change, change_digest) = got["parent"], got["change"]
         runs.append((parent, change))
@@ -158,8 +147,30 @@ def main(argv=None) -> int:
               f"({s['relative_change']:+.1%}); change better in {s['wins']}/{s['pairs']} "
               f"pairs, {s['ties']} ties; clear gain: {'yes' if s['clear_gain'] else 'no'}; "
               f"regression: {s['regression']}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "digests_equal": digests_equal, "summary": summary}))
+    print(json.dumps({"workload": workload, "seed": args.seed, "seconds": args.seconds,
+                      "digests_equal": digests_equal, "summary": summary}), flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to pair; give it again for more, run in turn")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    for tree in (args.parent, args.change):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+        for workload in args.workload:
+            build_inputs(tree, workload, args.seed)
+    for workload in args.workload:
+        run_pairs(args, workload, metrics)
     return 0
 
 

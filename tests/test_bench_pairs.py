@@ -130,6 +130,46 @@ class TestMain:
         assert summary["summary"]["wall_s"]["regression"] == "within bound"
         assert lines[-2].endswith("; regression: within bound")
 
+    def test_each_workload_runs_its_pairs_in_turn(self, tmp_path, monkeypatch, capsys):
+        trees = {side: tmp_path / side for side in ("parent", "change")}
+        for tree in trees.values():
+            (tree / "src").mkdir(parents=True)
+        (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+        ))
+        calls = []
+        built = []
+
+        def build_inputs(tree, workload, seed):
+            assert not calls, "every workload's inputs are built before the first pair"
+            built.append((tree.name, workload))
+
+        def run_benchmark(tree, workload, seed, seconds):
+            calls.append((tree.name, workload))
+            # Workload y is slower in the change, and its digests differ.
+            wall = {("parent", "x"): 2.0, ("change", "x"): 1.0,
+                    ("parent", "y"): 1.0, ("change", "y"): 3.0}[tree.name, workload]
+            return {"wall_s": wall}, tree.name if workload == "y" else "a"
+
+        monkeypatch.setattr(bench_pairs, "build_inputs", build_inputs)
+        monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+        argv = [str(trees["parent"]), str(trees["change"]), "--workload", "x",
+                "--workload", "y", "--pairs", "2", "--seconds", "1"]
+        assert bench_pairs.main(argv) == 0
+        assert built == [("parent", "x"), ("parent", "y"), ("change", "x"), ("change", "y")]
+        assert calls == [("parent", "x"), ("change", "x"), ("change", "x"), ("parent", "x"),
+                         ("parent", "y"), ("change", "y"), ("change", "y"), ("parent", "y")]
+        lines = capsys.readouterr().out.splitlines()
+        # Per workload: two pair lines, one metric line and the summary.
+        assert len(lines) == 8
+        assert [line.split(" (")[0] for line in lines[:3] + lines[4:7]] == [
+            "pair 1", "pair 2", "wall_s", "pair 1", "pair 2", "wall_s"]
+        x, y = json.loads(lines[3]), json.loads(lines[7])
+        assert (x["workload"], x["digests_equal"], x["summary"]["wall_s"]["wins"]) == ("x", 2, 2)
+        assert (y["workload"], y["digests_equal"], y["summary"]["wall_s"]["wins"]) == ("y", 0, 0)
+        assert x["summary"]["wall_s"]["regression"] == "within bound"
+        assert y["summary"]["wall_s"]["regression"] == "worse"
+
 
 class TestBuildInputs:
     def test_builds_through_the_checkouts_own_workloads_and_cache(self, tmp_path):
