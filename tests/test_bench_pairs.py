@@ -93,14 +93,21 @@ class TestRegression:
         assert self.regression(list(zip(parent, change)), "higher", 0.25) == "unresolved"
 
 
+def fake_checkouts(tmp_path: Path) -> dict[str, Path]:
+    """Parent and change checkouts with a ``src`` dir; the change's
+    BENCHMARK.json lists ``wall_s`` alone."""
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src").mkdir(parents=True)
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    ))
+    return trees
+
+
 class TestMain:
     def test_summary_counts_pairs_with_equal_digests(self, tmp_path, monkeypatch, capsys):
-        trees = {side: tmp_path / side for side in ("parent", "change")}
-        for tree in trees.values():
-            (tree / "src").mkdir(parents=True)
-        (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
-            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
-        ))
+        trees = fake_checkouts(tmp_path)
         calls = []
         built = []
 
@@ -131,12 +138,7 @@ class TestMain:
         assert lines[-2].endswith("; regression: within bound")
 
     def test_each_workload_runs_its_pairs_in_turn(self, tmp_path, monkeypatch, capsys):
-        trees = {side: tmp_path / side for side in ("parent", "change")}
-        for tree in trees.values():
-            (tree / "src").mkdir(parents=True)
-        (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
-            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
-        ))
+        trees = fake_checkouts(tmp_path)
         calls = []
         built = []
 
