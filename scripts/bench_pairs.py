@@ -16,10 +16,10 @@ inputs built beforehand, every pair reads a cached set.  Pair i then runs
 ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so a drift in
 machine speed falls on both sides alike.  Each checkout runs its own
-``perfbench`` copy.  The script prints each pair's ``wall_s`` and whether
-the two artifact digests agree, then, for every end-to-end metric that
-``BENCHMARK.json`` lists, each side's median and quartiles and the number of
-pairs the change wins, whether it is a clear gain, and whether it regressed
+``perfbench`` copy.  For each pair the script prints both sides' values of
+every end-to-end metric that ``BENCHMARK.json`` lists and whether the two
+artifact digests agree; then, for each of those metrics, each side's median
+and quartiles and the number of pairs the change wins, whether it is a clear gain, and whether it regressed
 beyond the metric's ``bound`` (``regression``).  The last line is the
 summary as one JSON object, with the number of pairs whose digests agree as
 ``digests_equal``.  Given ``--workload`` more than once, the script builds
@@ -133,8 +133,9 @@ def run_pairs(args, workload: str, metrics: list[dict]) -> None:
         runs.append((parent, change))
         digests_equal += parent_digest == change_digest
         same = "equal" if parent_digest == change_digest else "DIFFER"
-        print(f"pair {i + 1} ({order[0]} first): wall_s parent {parent['wall_s']:.4f} "
-              f"change {change['wall_s']:.4f}; digests {same}", flush=True)
+        values = "; ".join(f"{m['name']} parent {parent[m['name']]:.4g} "
+                           f"change {change[m['name']]:.4g}" for m in metrics)
+        print(f"pair {i + 1} ({order[0]} first): {values}; digests {same}", flush=True)
 
     summary = {}
     for metric in metrics:

@@ -70,13 +70,25 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
 
 
+def check_vocab_size(vocab_size: int) -> None:
+    """The part of ``bpe_train``'s budget rule that needs no corpus: room for
+    the specials."""
+    if vocab_size < len(DEFAULT_SPECIALS):
+        raise ValueError(
+            f"vocab_size {vocab_size} too small: need >= {len(DEFAULT_SPECIALS)} "
+            f"({len(DEFAULT_SPECIALS)} specials)"
+        )
+
+
 def bpe_train(corpus: Iterable[Sequence[str]], vocab_size: int) -> BpeModel:
     """Train a BPE model over tokenized sentences, reserving DEFAULT_SPECIALS.
 
     vocab_size counts everything: specials, the base alphabet, and one slot
     per merge.  A budget equal to specials + alphabet yields zero merges;
-    anything smaller is an error.
+    anything smaller is an error, and one below the specials is refused
+    before the corpus is read (``check_vocab_size``).
     """
+    check_vocab_size(vocab_size)
     word_counts: Counter = Counter()
     charset: set[str] = set()
     for sentence in corpus:

@@ -9,6 +9,7 @@ With a fixed --seed, every subcommand produces byte-identical artifacts
 across runs and across --jobs.  --jobs N splits the raw files of ingest and
 the stitchable sentences of stitch into contiguous chunks, one forked
 process each, at most one per CPU; the other subcommands run in one process.
+Only ingest and stitch handle pose arrays, and only they import numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import bpe, corpus, curriculum, io, keypoints, metrics, parallel, stitch, templates
-from .pose import WORD_ORDERS
+from . import bpe, corpus, curriculum, io, metrics, parallel, stitch, templates
+from .records import WORD_ORDERS
 
 
 class UsageError(Exception):
@@ -168,6 +169,8 @@ def _cmd_postprocess(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from . import keypoints  # with numpy, which only ingest and stitch load
+
     keypoints.check_threshold(args.threshold)
     raw_dir = Path(args.raw_dir)
     paths = io.files_by_word(raw_dir, ".jsonl")
@@ -225,6 +228,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_tokenize_train(args) -> int:
+    bpe.check_vocab_size(args.vocab_size)
     paths = [args.input, *(args.extra or [])]
     texts = [r.text for path in paths for r in io.read_manifest(path)]
     # encode splits a sentence's text on whitespace, so train on those words

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .pose import SentenceRecord
+from .records import SentenceRecord
 from .seeds import derive_seed
 
 PERSON_TOKEN = "<PERSON>"

@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .io import atomic_open
 from .seeds import derive_seed, derive_seeds
 
@@ -62,10 +60,10 @@ def real_fraction(step: int, sched: AnnealSchedule) -> float:
     return sched.max_real_fraction * min(1.0, step / sched.ramp_steps)
 
 
-def _is_real(key, frac):
+def _is_real(key: int, frac: float) -> bool:
     """Whether a step with derived seed ``key`` and real fraction ``frac`` draws
     real data: the top 53 bits of ``key``, as a fraction of 2**53, are below
-    ``frac``.  Exact in float64 for a Python int and for a uint64 array alike."""
+    ``frac``.  Exact in float64: a 53-bit int converts without rounding."""
     return (key >> 11) * 2.0**-53 < frac
 
 
@@ -97,9 +95,6 @@ def write_schedule_csv(
             raise ValueError("dataset sizes must be >= 1")
         for start in range(0, total_steps, _BLOCK):
             steps = range(start, min(start + _BLOCK, total_steps))
-            fracs = [real_fraction(step, sched) for step in steps]
-            real = _is_real(derive_seeds(seed, steps), np.array(fracs)).tolist()
-            fh.writelines(
-                f"{step},{frac:.6f},{REAL if r else SYNTHETIC}\r\n"
-                for step, frac, r in zip(steps, fracs, real)
-            )
+            for step, key in zip(steps, derive_seeds(seed, steps)):
+                frac = real_fraction(step, sched)
+                fh.write(f"{step},{frac:.6f},{REAL if _is_real(key, frac) else SYNTHETIC}\r\n")

@@ -30,6 +30,9 @@ field checks are the manifest's record rules, so any record can be written
 to a manifest.  Each manifest or text corpus read keeps one dict of the
 strings it has met, so its records share one string per distinct token:
 a Zipfian corpus repeats a few thousand types across all its sentences.
+
+numpy, orjson and the pose types are imported by the functions that read or
+write pose and landmark files, so the text commands never load them.
 """
 
 from __future__ import annotations
@@ -43,23 +46,16 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
-
-import numpy as np
-import orjson
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .corpus import LengthHistogram, length_stats
-from .pose import (
-    FRAME_DIM,
-    LANDMARK_GROUPS,
-    PoseSequence,
-    RawLandmarkFrame,
-    SentenceRecord,
-    TOTAL_LANDMARKS,
-    _all_str,
-    landmark_group,
-)
-from .stitch import SignLexicon
+from .records import SentenceRecord, _all_str
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pose import PoseSequence, RawLandmarkFrame
+    from .stitch import SignLexicon
 
 POSE_FILE_VERSION = "psp-v1"
 POSE_FILE_SUFFIX = ".psp"
@@ -235,6 +231,10 @@ def encode_pose(seq: PoseSequence) -> bytes:
     """Header line (JSON) followed by n_frames x 152 little-endian float32.
     The header is built from fixed keys: the bytes ``json.dumps`` gives for
     ``{"version", "n_frames", "dims", "source_id"}``."""
+    import numpy as np
+
+    from .pose import FRAME_DIM
+
     header = (
         f'{{"version": "{POSE_FILE_VERSION}", "n_frames": {len(seq)}, '
         f'"dims": {FRAME_DIM}, "source_id": {_json_str(seq.source_id)}}}\n'
@@ -286,6 +286,10 @@ def pose_set(out_dir) -> Iterator[Callable[[str, PoseSequence], str]]:
 
 
 def read_pose_file(path) -> PoseSequence:
+    import numpy as np
+
+    from .pose import FRAME_DIM, PoseSequence
+
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -335,6 +339,8 @@ def files_by_word(directory, suffix: str) -> dict[str, Path]:
 def load_sign_lexicon(directory) -> SignLexicon:
     """Read every .psp file in a directory; the word is the case-folded file
     stem (see ``files_by_word``)."""
+    from .stitch import SignLexicon
+
     directory = Path(directory)
     paths = files_by_word(directory, POSE_FILE_SUFFIX)
     if not paths:
@@ -346,15 +352,18 @@ def load_sign_lexicon(directory) -> SignLexicon:
 
 
 def _raw_frame(obj: dict) -> np.ndarray:
+    import numpy as np
+
+    from .pose import LANDMARK_GROUPS, landmark_group
+
     return np.concatenate(
         [landmark_group(obj[name], size, name) for name, size in LANDMARK_GROUPS.items()]
     )
 
 
-_FRAME_VALUES = 3 * TOTAL_LANDMARKS
 # A frame line holds 8 '"' and 4 + 543 '['; of its bytes, only the 'y' of
 # "body", the 't' of each hand key, '{' and '}' are at or above 's'.
-_FRAME_QUOTES, _FRAME_BRACKETS, _FRAME_HIGH_BYTES = 8, 4 + TOTAL_LANDMARKS, 5
+_FRAME_QUOTES, _FRAME_HIGH_BYTES = 8, 5
 # Below this magnitude orjson reads every number token as json does.
 _FRAME_MAX_ABS = 2.0**63
 
@@ -377,10 +386,15 @@ def _plain_frame(line: str) -> np.ndarray | None:
     """The (543, 3) float32 frame of a plain frame line, decoded in one pass;
     else None, and the line takes ``_json_line`` and ``_raw_frame``, which
     alone give the values of other lines and every error."""
+    import numpy as np
+    import orjson
+
+    from .pose import LANDMARK_GROUPS, TOTAL_LANDMARKS
+
     codes = np.frombuffer(line.encode(), np.uint8)  # in UTF-8 an ASCII byte is a character
     if (
         np.count_nonzero(codes == ord('"')) != _FRAME_QUOTES
-        or np.count_nonzero(codes == ord("[")) != _FRAME_BRACKETS
+        or np.count_nonzero(codes == ord("[")) != 4 + TOTAL_LANDMARKS
         or np.count_nonzero(codes >= ord("s")) != _FRAME_HIGH_BYTES
     ):
         return None
@@ -399,7 +413,7 @@ def _plain_frame(line: str) -> np.ndarray | None:
     try:
         if set(map(len, points)) != {3}:
             return None
-        values = np.fromiter(chain.from_iterable(points), np.float64, _FRAME_VALUES)
+        values = np.fromiter(chain.from_iterable(points), np.float64, 3 * TOTAL_LANDMARKS)
     except (TypeError, ValueError):  # a point or value that is not a list or number
         return None
     with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
@@ -420,6 +434,8 @@ def read_raw_landmark_file(path) -> np.ndarray:
     lists of [x, y, confidence] points.  Returns the clip as one (T, 543, 3)
     float32 array in canonical group order.  A plain frame line is decoded in
     one pass (``_plain_frame``); any other reads as ``read_jsonl`` reads it."""
+    import numpy as np
+
     frames = [frame for _, frame in read_lines(path, _raw_line)]
     if not frames:
         raise DataError(f"{path}: no frames")
@@ -427,6 +443,8 @@ def read_raw_landmark_file(path) -> np.ndarray:
 
 
 def write_raw_landmark_file(path, frames: Sequence[RawLandmarkFrame]) -> None:
+    from .pose import LANDMARK_GROUPS
+
     with atomic_open(path) as fh:
         for frame in frames:
             fh.write(json.dumps({name: getattr(frame, name).tolist() for name in LANDMARK_GROUPS}))

@@ -1,4 +1,4 @@
-"""Core pose-domain types shared by all pipeline stages.
+"""Pose-domain types: raw landmark frames and pose sequences.
 
 A raw extractor frame carries 543 landmarks (33 body, 468 face, 21 per hand),
 each an (x, y, confidence) triple with normalized coordinates.  The pipeline
@@ -13,8 +13,8 @@ within each group.  The selection is a constant (``SELECTED_BODY_INDICES``,
 ``SELECTED_LANDMARKS``): a pose file does not record which keypoints fill
 its 152 values.  All types are immutable values (backing arrays are
 read-only copies), which forked ``--jobs`` workers share copy-on-write, and
-each checks its fields when it is built: a ``SentenceRecord`` holds only what
-a manifest line can carry.
+each checks its fields when it is built.  The manifest's sentence record
+lives in ``records``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -172,51 +172,3 @@ class PoseSequence:
 
     def __len__(self) -> int:
         return self.frames.shape[0]
-
-
-WORD_ORDERS = ("swo", "rwo")
-
-
-def _all_str(items) -> bool:
-    try:
-        "".join(items)  # one C-level pass; a TypeError unless every item is a str
-    except TypeError:
-        return False
-    return True
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceRecord:
-    """One manifest row: sentence text plus provenance and pose reference.
-    Every field is checked here (``text`` a list or tuple of str, kept as a
-    tuple; ``n_frames`` an int, not a bool), so any record can be written.
-    Slotted, with no ``__dict__``: a loaded manifest holds one per line."""
-
-    id: str
-    text: tuple[str, ...]
-    phenomenon: str = "custom"
-    word_order: str = "swo"
-    pose_path: Optional[str] = None
-    n_frames: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        record_id, text, n_frames = self.id, self.text, self.n_frames
-        if not isinstance(record_id, str):
-            raise ValueError(f"id must be a string, got {record_id!r}")
-        if not isinstance(text, (list, tuple)) or not _all_str(text):
-            raise ValueError(f"record {record_id!r}: text must be a list of strings")
-        if not isinstance(self.phenomenon, str):
-            raise ValueError(f"record {record_id!r}: phenomenon must be a string")
-        if self.pose_path is not None and not isinstance(self.pose_path, str):
-            raise ValueError(f"record {record_id!r}: pose_path must be a string")
-        if n_frames is not None and (isinstance(n_frames, bool) or not isinstance(n_frames, int)):
-            raise ValueError(f"record {record_id!r}: n_frames must be an integer")
-        if not text:
-            raise ValueError(f"record {record_id!r}: text must be non-empty")
-        if self.word_order not in WORD_ORDERS:
-            raise ValueError(f"record {record_id!r}: word_order must be one of {WORD_ORDERS}")
-        if n_frames is not None and n_frames < 1:
-            raise ValueError(f"record {record_id!r}: n_frames must be at least 1")
-        if self.pose_path is not None and n_frames is None:
-            raise ValueError(f"record {record_id!r}: pose_path set but n_frames missing")
-        object.__setattr__(self, "text", tuple(text))

@@ -12,9 +12,8 @@ counter-based design of Salmon et al., "Parallel random numbers: as easy as
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable
-
-import numpy as np
 
 # hashlib maps OpenSSL's libcrypto into the process, about 3.5 MB resident;
 # the interpreter's own SHA-256 gives the same digests for a few KB, and
@@ -39,10 +38,13 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def derive_seeds(prefix: int | str, ids: Iterable[int | str]) -> np.ndarray:
-    """``[derive_seed(prefix, i) for i in ids]`` as a uint64 array.
+def derive_seeds(prefix: int | str, ids: Iterable[int | str]) -> list[int]:
+    """``[derive_seed(prefix, i) for i in ids]``.
 
     The shared ``prefix`` is hashed once and each id continues a copy of it.
+    The digests' first 8 bytes go into one buffer, read back as little-endian
+    ints by one ``struct.unpack``, which is faster than an ``int.from_bytes``
+    per id.
     """
     head = sha256(f"{prefix}\x1f".encode("utf-8"))
     out = bytearray()
@@ -50,4 +52,4 @@ def derive_seeds(prefix: int | str, ids: Iterable[int | str]) -> np.ndarray:
         h = head.copy()
         h.update(str(i).encode("utf-8"))
         out += h.digest()[:8]
-    return np.frombuffer(out, dtype="<u8").astype(np.uint64)
+    return list(struct.unpack(f"<{len(out) // 8}Q", out))

@@ -15,19 +15,26 @@ written.  The records are held: the input records, the pre-pass's
 ``(record, words)`` pairs and the output records, about 0.7 KB of memory per
 record.  With ``jobs`` above 1, forked workers stitch contiguous runs of
 sentences.
+
+numpy and the pose types are imported by the functions that handle frames,
+so the settings and configs here load without them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .parallel import map_chunks
-from .pose import FRAME_DIM, WORD_ORDERS, PoseSequence, SentenceRecord
+from .records import WORD_ORDERS, SentenceRecord
 from .seeds import derive_seed
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pose import PoseSequence
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class StitchResult:
 
 def check_mean_frames(mean_frames: float) -> None:
     """A mean frame count, synthetic or target, must be finite and positive."""
-    if not 0 < mean_frames < np.inf:
+    if not 0 < mean_frames < math.inf:
         raise ValueError("mean frame counts must be finite and positive")
 
 
@@ -100,6 +107,8 @@ def resample(seq: PoseSequence, stride: int) -> PoseSequence:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return seq
+    from .pose import PoseSequence
+
     return PoseSequence(frames=seq.frames[::stride], source_id=seq.source_id)
 
 
@@ -111,6 +120,8 @@ def _crossfade(last: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     Frame j sits at fraction j/(n+1); values are clipped onto the segment so
     every coordinate is an exact convex combination of its endpoints.
     """
+    import numpy as np
+
     fractions = (np.arange(1, n + 1, dtype=np.float64) / (n + 1))[:, None]
     a = last.astype(np.float64)[..., None, :]
     b = first.astype(np.float64)[..., None, :]
@@ -128,6 +139,10 @@ def stitch_sentence(
     so the first word missing from the lexicon raises its KeyError.  Which
     words of a record to stitch is decided by ``stitch_dataset``.
     """
+    import numpy as np
+
+    from .pose import FRAME_DIM, PoseSequence
+
     if not words:
         raise ValueError("empty word list")
     found = [(word, lex.clip(word).frames) for word in words]

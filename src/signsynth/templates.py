@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .io import DataError, read_jsonl, read_lines
-from .pose import SentenceRecord
+from .records import SentenceRecord
 from .seeds import derive_seed
 
 PHENOMENA = (

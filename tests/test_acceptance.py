@@ -36,8 +36,8 @@ from signsynth.pose import (
     RawLandmarkFrame,
     SELECTED_BODY_INDICES,
     SELECTED_FACE_INDICES,
-    SentenceRecord,
 )
+from signsynth.records import SentenceRecord
 from signsynth.stitch import SignLexicon, StitchConfig, compute_sampling_rate, stitch_sentence
 from signsynth.templates import (
     PHENOMENA,

@@ -131,6 +131,7 @@ class TestMain:
         assert calls == [trees["parent"], trees["change"], trees["change"], trees["parent"],
                          trees["parent"], trees["change"]]
         assert ["DIFFER" in line for line in lines[:3]] == [False, True, False]
+        assert lines[0] == "pair 1 (parent first): wall_s parent 2 change 1; digests equal"
         summary = json.loads(lines[-1])
         assert summary["digests_equal"] == 2
         assert summary["summary"]["wall_s"]["wins"] == 3
@@ -171,6 +172,31 @@ class TestMain:
         assert (y["workload"], y["digests_equal"], y["summary"]["wall_s"]["wins"]) == ("y", 0, 0)
         assert x["summary"]["wall_s"]["regression"] == "within bound"
         assert y["summary"]["wall_s"]["regression"] == "worse"
+
+    def test_each_pair_line_shows_every_metric(self, tmp_path, monkeypatch, capsys):
+        trees = fake_checkouts(tmp_path)
+        (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "items_per_s", "better": "higher", "bound": 0.25},
+        ]}))
+
+        def run_benchmark(tree, workload, seed, seconds):
+            if tree == trees["parent"]:
+                return {"wall_s": 0.8283, "setup_s": 0.13412, "items_per_s": 7244.3}, "a"
+            return {"wall_s": 0.8012, "setup_s": 0.06604, "items_per_s": 7490.0}, "a"
+
+        monkeypatch.setattr(bench_pairs, "build_inputs", lambda tree, workload, seed: None)
+        monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+        argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w",
+                "--pairs", "2", "--seconds", "1"]
+        assert bench_pairs.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = ("wall_s parent 0.8283 change 0.8012; setup_s parent 0.1341 change 0.06604; "
+                  "items_per_s parent 7244 change 7490; digests equal")
+        assert lines[:2] == [f"pair 1 (parent first): {values}", f"pair 2 (change first): {values}"]
+        assert [line.split(" (")[0] for line in lines[2:5]] == ["wall_s", "setup_s", "items_per_s"]
+        assert json.loads(lines[-1])["summary"]["setup_s"]["wins"] == 2
 
 
 class TestBuildInputs:

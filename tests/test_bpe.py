@@ -65,6 +65,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="too small"):
             bpe_train([["ab"]], vocab_size=3)
 
+    def test_budget_below_the_specials_refused_before_the_corpus_is_read(self):
+        def corpus():
+            raise AssertionError("the corpus was read")
+            yield ["ab"]
+
+        budget = len(DEFAULT_SPECIALS) - 1
+        with pytest.raises(ValueError, match=f"vocab_size {budget} too small: need >= 6"):
+            bpe_train(corpus(), vocab_size=budget)
+
     def test_empty_corpus_errors(self):
         with pytest.raises(ValueError, match="empty corpus"):
             bpe_train([], vocab_size=100)

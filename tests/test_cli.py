@@ -26,8 +26,8 @@ from signsynth.pose import (
     LANDMARK_GROUPS,
     PoseSequence,
     RawLandmarkFrame,
-    SentenceRecord,
 )
+from signsynth.records import SentenceRecord
 from signsynth.templates import PHENOMENA
 
 from .conftest import random_raw_frame
@@ -1240,8 +1240,11 @@ class TestSmallerFixes:
         (["stitch", "--manifest", "missing.jsonl", "--lexicon-dir", "missing",
           "--out-dir", "out", "--out-manifest", "out.jsonl", "--target-mean", "0"],
          "mean frame counts must be finite and positive"),
+        (["tokenize", "train", "--in", "missing.jsonl", "--extra", "missing_extra.jsonl",
+          "--model", "m.json", "--vocab-size", "0"],
+         "vocab_size 0 too small: need >= 6 (6 specials)"),
     ], ids=["merge-group", "filter-min-rate", "postprocess-min-freq", "ingest-threshold",
-            "stitch-target-mean"])
+            "stitch-target-mean", "tokenize-vocab-size"])
     def test_setting_checked_before_the_first_input(self, tmp_path, monkeypatch, capsys,
                                                     argv, message):
         # Each input is missing, so a run that read one first would report it.

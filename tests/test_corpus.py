@@ -17,7 +17,7 @@ from signsynth.corpus import (
     merge_short,
     replace_rare_and_names,
 )
-from signsynth.pose import SentenceRecord
+from signsynth.records import SentenceRecord
 
 from . import oracles
 

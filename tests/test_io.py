@@ -10,6 +10,7 @@ import pickle
 import random
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import types
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signsynth import bpe, cli, curriculum, io, metrics
+from signsynth import bpe, cli, curriculum, io, metrics, pose
 from signsynth.io import (
     DataError,
     atomic_open,
@@ -43,7 +44,8 @@ from signsynth.io import (
     write_pose_file,
     write_raw_landmark_file,
 )
-from signsynth.pose import FRAME_DIM, LANDMARK_GROUPS, PoseSequence, RawLandmarkFrame, SentenceRecord
+from signsynth.pose import FRAME_DIM, LANDMARK_GROUPS, PoseSequence, RawLandmarkFrame
+from signsynth.records import SentenceRecord
 
 from . import oracles
 from .conftest import random_raw_frame
@@ -1084,7 +1086,7 @@ class TestRawFrameFastPath:
             raise AssertionError("a canonical frame took the slow path")
 
         monkeypatch.setattr(io, "_raw_frame", refuse)
-        monkeypatch.setattr(io, "landmark_group", refuse)
+        monkeypatch.setattr(pose, "landmark_group", refuse)
         again = read_raw_landmark_file(path)
         assert again.shape == (3, 543, 3)
         assert again.tobytes() == np.stack([f.stacked() for f in frames]).tobytes()
@@ -1111,7 +1113,7 @@ class TestRawFrameFastPath:
             raise AssertionError("a JS-style frame took the slow path")
 
         monkeypatch.setattr(io, "_raw_frame", refuse)
-        monkeypatch.setattr(io, "landmark_group", refuse)
+        monkeypatch.setattr(pose, "landmark_group", refuse)
         assert read_raw_landmark_file(path).tobytes() == expected.tobytes()
 
     def test_a_20_digit_integer_reads_through_the_fallback(self, rng, tmp_path, monkeypatch):
@@ -1162,7 +1164,7 @@ class TestRawFrameFastPath:
             assert line.count("[") + line.count("{") < 768, "orjson.loads on a deeply nested line"
             return orjson.loads(line)
 
-        monkeypatch.setattr(io, "orjson", types.SimpleNamespace(
+        monkeypatch.setitem(sys.modules, "orjson", types.SimpleNamespace(
             loads=loads, JSONDecodeError=orjson.JSONDecodeError,
         ))
         with pytest.raises(DataError, match=":1: invalid JSON"):

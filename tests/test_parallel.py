@@ -16,7 +16,8 @@ import signsynth
 from signsynth import io, parallel
 from signsynth.cli import cli
 from signsynth.io import pose_set, read_pose_file, write_manifest, write_raw_landmark_file
-from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
+from signsynth.pose import FRAME_DIM, PoseSequence
+from signsynth.records import SentenceRecord
 
 from . import test_golden
 from .conftest import random_raw_frame

@@ -21,9 +21,9 @@ from signsynth.pose import (
     SELECTED_FACE_INDICES,
     SELECTED_KEYPOINTS,
     SELECTED_LANDMARKS,
-    SentenceRecord,
     landmark_group,
 )
+from signsynth.records import SentenceRecord
 
 from .conftest import random_raw_frame
 

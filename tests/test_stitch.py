@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signsynth import stitch
-from signsynth.pose import FRAME_DIM, PoseSequence, SentenceRecord
+from signsynth.pose import FRAME_DIM, PoseSequence
+from signsynth.records import SentenceRecord
 from signsynth.stitch import (
     SignLexicon,
     StitchConfig,
